@@ -3,14 +3,35 @@ cover, the core-replacing bijections between them, and the exhaustive
 verification suites.
 
 Membership is definitional: enumerate the labels of the right size and filter
-by core.  Every suite walks a finite domain in a fixed order and reports each
-violation with a reproducible witness, so reports are byte-stable.
+by core.
+
+The suites form one table, SUITES, from a name to a function
+(p, bound, fs, w_max) -> (cases, violations, notes).  Most entries are data
+for one of two runners:
+
+* ``_sweep`` pairs a domain (the strict partitions up to the bound, the
+  self-conjugate ones, or m in 1..bound) with a check of one element that
+  returns (cases, witnesses);
+* ``_replace_cores`` pairs a side (spin or non-spin: its cores, their tau,
+  the map, the block members and the extra witness fields) with the relation
+  between source and target cores and the groups to map.
+
+``little``, ``blocks``, ``census`` and ``crossing_fails`` are plain functions
+in the same table.  Every domain is walked in a fixed order and every witness
+is a dict whose keys and key order are part of the report, so reports are
+byte-stable.  Witnesses are built only when a check fails.
+
+Library functions are looked up by their module-global names when they are
+called, never stored in the table at import time.  A wrapper that rebinds such
+a name, like a call tracer or a test's monkeypatch, then sees every call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 from .abacus import BarAbacus
 from .characters import (
@@ -26,6 +47,7 @@ from .characters import (
     label_tau,
 )
 from .galois import (
+    ORACLE_MAX_M,
     GaloisElement,
     oracle_tau_sqrt,
     standard_generators,
@@ -279,7 +301,7 @@ def equivariance_check(lmap: LabelMap, fs, suite: str = "equivariance") -> Verif
     for src, dst in lmap.pairs:
         if (src.variant == WHOLE) != (dst.variant == WHOLE):
             violations.append(
-                {"label": _label_json(src), "image": _label_json(dst), "reason": "variant mismatch"}
+                {"label": src.to_json(), "image": dst.to_json(), "reason": "variant mismatch"}
             )
             continue
         if src.variant == WHOLE:
@@ -293,8 +315,8 @@ def equivariance_check(lmap: LabelMap, fs, suite: str = "equivariance") -> Verif
             if ts != td:
                 violations.append(
                     {
-                        "label": _label_json(src),
-                        "image": _label_json(dst),
+                        "label": src.to_json(),
+                        "image": dst.to_json(),
                         "f": f.to_json(),
                         "tau_source": ts,
                         "tau_image": td,
@@ -319,122 +341,108 @@ def equivariance_check(lmap: LabelMap, fs, suite: str = "equivariance") -> Verif
     return VerificationReport(suite, p, 0, cases, tuple(violations), tuple(notes))
 
 
-def _label_json(label) -> dict:
-    return label.to_json()
-
-
 def _strict_upto(bound: int):
     for n in range(bound + 1):
         yield from strict_partitions_of(n)
 
 
-def _suite_roundtrips(p, bound, fs, w_max):
-    violations = []
-    cases = 0
-    for lam in _strict_upto(bound):
-        cases += 1
-        if lam.frobenius().to_partition() != Partition(lam.parts):
-            violations.append({"lambda": lam.to_json(), "reason": "frobenius round trip"})
-        ab = BarAbacus.from_partition(lam, p)
-        if ab.to_partition() != lam:
-            violations.append({"lambda": lam.to_json(), "reason": "abacus round trip"})
-        if ab.twist().untwist() != ab:
-            violations.append({"lambda": lam.to_json(), "reason": "twist round trip"})
-        dec = bar_decompose(lam, p)
-        if bar_reconstruct(dec.core, dec.quotient, p) != lam:
-            violations.append({"lambda": lam.to_json(), "reason": "decompose round trip"})
-    return cases, violations, []
+def _selfconjugate_upto(bound: int):
+    for n in range(bound + 1):
+        yield from enumerate_partitions(n, "self_conjugate")
 
 
-def _suite_lengths(p, bound, fs, w_max):
-    violations = []
-    cases = 0
-    for lam in _strict_upto(bound):
-        cases += 1
-        dec = bar_decompose(lam, p)
-        if lam.length != dec.core.length + dec.cocore.length - 2 * dec.d:
-            violations.append(
-                {
-                    "lambda": lam.to_json(),
-                    "length": lam.length,
-                    "core_length": dec.core.length,
-                    "cocore_length": dec.cocore.length,
-                    "d": dec.d,
-                }
-            )
-    return cases, violations, []
+def _m_upto(bound: int):
+    return range(1, bound + 1)
 
 
-def _suite_signs(p, bound, fs, w_max):
-    violations = []
-    cases = 0
-    for lam in _strict_upto(bound):
-        cases += 1
-        dec = bar_decompose(lam, p)
-        if lam.sign() != dec.core.sign() * dec.cocore.sign():
-            violations.append(
-                {
-                    "lambda": lam.to_json(),
-                    "sign": lam.sign(),
-                    "core_sign": dec.core.sign(),
-                    "cocore_sign": dec.cocore.sign(),
-                }
-            )
-    return cases, violations, []
+def _sweep(domain, check, gens=False):
+    """The suite that runs check(x, p, fs) -> (cases, witnesses) on every x
+    of domain(bound).  With gens, a missing fs becomes the standard
+    generators of p; only the checks that read fs ask for them."""
+
+    def run(p, bound, fs, w_max):
+        if gens:
+            fs = tuple(fs or standard_generators(p))
+        cases, violations = 0, []
+        for x in domain(bound):
+            n, found = check(x, p, fs)
+            cases += n
+            violations.extend(found)
+        return cases, violations, []
+
+    return run
 
 
-def _suite_sizes(p, bound, fs, w_max):
-    violations = []
-    cases = 0
-    for lam in _strict_upto(bound):
-        cases += 1
-        dec = bar_decompose(lam, p)
-        if lam.size != dec.core.size + p * dec.weight:
-            violations.append(
-                {
-                    "lambda": lam.to_json(),
-                    "size": lam.size,
-                    "core_size": dec.core.size,
-                    "weight": dec.weight,
-                }
-            )
-    return cases, violations, []
+def _witness(lam, **fields) -> dict:
+    """A violation at the partition lam, with its fields in the given order."""
+    return {"lambda": lam.to_json(), **fields}
 
 
-def _suite_pairing(p, bound, fs, w_max):
-    violations = []
-    cases = 0
-    for lam in _strict_upto(bound):
-        if bar_decompose(lam, p).core:
-            continue
-        cases += 1
-        pairs = paired_parts(lam, p)
-        covered = sorted(x for pair in pairs for x in pair)
-        expected = sorted(x for x in lam if x % p)
-        if covered != expected:
-            violations.append(
-                {"lambda": lam.to_json(), "pairs": [list(q) for q in pairs], "reason": "cover"}
-            )
-        for a, b in pairs:
-            if (a + b) % p:
-                violations.append({"lambda": lam.to_json(), "pair": [a, b], "reason": "sum"})
-    return cases, violations, []
+def _roundtrips(lam, p, fs):
+    reasons = []
+    if lam.frobenius().to_partition() != Partition(lam.parts):
+        reasons.append("frobenius round trip")
+    ab = BarAbacus.from_partition(lam, p)
+    if ab.to_partition() != lam:
+        reasons.append("abacus round trip")
+    if ab.twist().untwist() != ab:
+        reasons.append("twist round trip")
+    dec = bar_decompose(lam, p)
+    if bar_reconstruct(dec.core, dec.quotient, p) != lam:
+        reasons.append("decompose round trip")
+    return 1, [_witness(lam, reason=reason) for reason in reasons]
 
 
-def _suite_tau_oracle(p, bound, fs, w_max):
-    violations = []
-    cases = 0
-    for m in range(1, bound + 1):
-        for e in (0, 1, 2):
-            for s in range(1, p):
-                f = GaloisElement(p, e, s)
-                cases += 1
-                closed, exact = tau_sqrt(m, f), oracle_tau_sqrt(m, f)
-                if closed != exact:
-                    violations.append(
-                        {"m": m, "f": f.to_json(), "closed": closed, "oracle": exact}
-                    )
-    return cases, violations, []
+def _lengths(lam, p, fs):
+    dec = bar_decompose(lam, p)
+    if lam.length == dec.core.length + dec.cocore.length - 2 * dec.d:
+        return 1, ()
+    core, cocore = dec.core.length, dec.cocore.length
+    return 1, [_witness(lam, length=lam.length, core_length=core, cocore_length=cocore, d=dec.d)]
+
+
+def _signs(lam, p, fs):
+    dec = bar_decompose(lam, p)
+    if lam.sign() == dec.core.sign() * dec.cocore.sign():
+        return 1, ()
+    core, cocore = dec.core.sign(), dec.cocore.sign()
+    return 1, [_witness(lam, sign=lam.sign(), core_sign=core, cocore_sign=cocore)]
+
+
+def _sizes(lam, p, fs):
+    dec = bar_decompose(lam, p)
+    if lam.size == dec.core.size + p * dec.weight:
+        return 1, ()
+    return 1, [_witness(lam, size=lam.size, core_size=dec.core.size, weight=dec.weight)]
+
+
+def _durfee(lam, p, fs):
+    dec = ordinary_decompose(lam, p)
+    if lam.durfee() == dec.core.durfee() + dec.cocore.durfee() - 2 * dec.d:
+        return 1, ()
+    core, cocore = dec.core.durfee(), dec.cocore.durfee()
+    return 1, [_witness(lam, durfee=lam.durfee(), core_durfee=core, cocore_durfee=cocore, d=dec.d)]
+
+
+def _pairing(lam, p, fs):
+    if bar_decompose(lam, p).core:
+        return 0, ()
+    pairs = paired_parts(lam, p)
+    found = []
+    if sorted(x for pair in pairs for x in pair) != sorted(x for x in lam if x % p):
+        found.append(_witness(lam, pairs=[list(q) for q in pairs], reason="cover"))
+    found += [_witness(lam, pair=[a, b], reason="sum") for a, b in pairs if (a + b) % p]
+    return 1, found
+
+
+def _tau_oracle(m, p, fs):
+    elements = [GaloisElement(p, e, s) for e in (0, 1, 2) for s in range(1, p)]
+    found = []
+    for f in elements:
+        closed, exact = tau_sqrt(m, f), oracle_tau_sqrt(m, f)
+        if closed != exact:
+            found.append({"m": m, "f": f.to_json(), "closed": closed, "oracle": exact})
+    return len(elements), found
 
 
 def _suite_little(p, bound, fs, w_max):
@@ -442,84 +450,71 @@ def _suite_little(p, bound, fs, w_max):
     trivial = [f for f in (fs or standard_generators(p)) if f.e == 0]
     eps = -1 if p % 4 == 3 else 1
     counts = {"i": 0, "ii": 0, "iii": 0}
-    violations = []
-    for lam in _strict_upto(bound):
+
+    def check(lam, p, fs):
         dec = bar_decompose(lam, p)
         t_core = tau_partition(dec.core, sigma)
         t_cocore = tau_partition(dec.cocore, sigma)
         t_lam = tau_partition(lam, sigma)
         if dec.core.sign() == -1 and dec.cocore.sign() == -1:
-            counts["ii"] += 1
-            ok = t_lam == eps * t_core * t_cocore
-            case = "ii"
+            case, ok = "ii", t_lam == eps * t_core * t_cocore
         else:
-            counts["i"] += 1
-            ok = t_lam == t_core * t_cocore
-            case = "i"
+            case, ok = "i", t_lam == t_core * t_cocore
+        counts[case] += 1
+        counts["iii"] += len(trivial)
+        found = []
         if not ok:
-            violations.append(
-                {
-                    "lambda": lam.to_json(),
-                    "case": case,
-                    "tau": t_lam,
-                    "tau_core": t_core,
-                    "tau_cocore": t_cocore,
-                }
-            )
+            found.append(_witness(lam, case=case, tau=t_lam, tau_core=t_core, tau_cocore=t_cocore))
         for f in trivial:
-            counts["iii"] += 1
             if tau_partition(lam, f) != tau_partition(dec.core, f) * tau_partition(dec.cocore, f):
-                violations.append({"lambda": lam.to_json(), "case": "iii", "f": f.to_json()})
-    cases = sum(counts.values())
+                found.append(_witness(lam, case="iii", f=f.to_json()))
+        return 1 + len(trivial), found
+
+    cases, violations, _ = _sweep(_strict_upto, check)(p, bound, fs, w_max)
     notes = [f"case_i={counts['i']}", f"case_ii={counts['ii']}", f"case_iii={counts['iii']}"]
     return cases, violations, notes
 
 
-def _suite_phi(p, bound, fs, w_max):
-    fs = tuple(fs or standard_generators(p))
-    violations = []
-    cases = 0
-    for lam in _strict_upto(bound):
-        for group in (STILDE, ATILDE):
-            for label in classify(lam, group, SPIN):
-                glabel = phi(label, p)
-                cases += 1
-                if glabel.variant != label.variant:
-                    violations.append({"label": label.to_json(), "reason": "variant"})
-                if phi_inverse(glabel, p) != label:
-                    violations.append({"label": label.to_json(), "reason": "inverse"})
-                if label.variant == "plus":
-                    for f in fs:
-                        cases += 1
-                        if label_tau(label, f) != tau_g(glabel, f):
-                            violations.append(
-                                {"label": label.to_json(), "f": f.to_json(), "reason": "tau"}
-                            )
-    return cases, violations, []
+def _phi(lam, p, fs):
+    cases, found = 0, []
+    for group in (STILDE, ATILDE):
+        for label in classify(lam, group, SPIN):
+            glabel = phi(label, p)
+            cases += 1
+            if glabel.variant != label.variant:
+                found.append({"label": label.to_json(), "reason": "variant"})
+            if phi_inverse(glabel, p) != label:
+                found.append({"label": label.to_json(), "reason": "inverse"})
+            if label.variant == "plus":
+                for f in fs:
+                    cases += 1
+                    if label_tau(label, f) != tau_g(glabel, f):
+                        found.append({"label": label.to_json(), "f": f.to_json(), "reason": "tau"})
+    return cases, found
 
 
-def _suite_valuation(p, bound, fs, w_max):
-    violations = []
-    cases = 0
-    for lam in _strict_upto(bound):
-        dec = bar_decompose(lam, p)
-        if dec.core.size >= p:
-            continue
-        cases += 1
-        label = classify(lam, STILDE, SPIN)[0]
-        val = degree_valuation(label, p)
-        gval = g_degree_valuation(phi(label, p), p)
-        cocore_val = degree_valuation(classify(dec.cocore, STILDE, SPIN)[0], p)
-        if val != gval or val != cocore_val:
-            violations.append(
-                {
-                    "lambda": lam.to_json(),
-                    "valuation": val,
-                    "image_valuation": gval,
-                    "cocore_valuation": cocore_val,
-                }
-            )
-    return cases, violations, []
+def _valuation(lam, p, fs):
+    dec = bar_decompose(lam, p)
+    if dec.core.size >= p:
+        return 0, ()
+    label = classify(lam, STILDE, SPIN)[0]
+    val = degree_valuation(label, p)
+    gval = g_degree_valuation(phi(label, p), p)
+    cocore_val = degree_valuation(classify(dec.cocore, STILDE, SPIN)[0], p)
+    if val == gval == cocore_val:
+        return 1, ()
+    return 1, [_witness(lam, valuation=val, image_valuation=gval, cocore_valuation=cocore_val)]
+
+
+def _tau_nonspin(lam, p, fs):
+    dec = ordinary_decompose(lam, p)
+    found = []
+    for f in fs:
+        lhs = tau_selfconjugate(lam, f)
+        rhs = tau_selfconjugate(dec.core, f) * tau_selfconjugate(dec.cocore, f)
+        if lhs != rhs:
+            found.append(_witness(lam, f=f.to_json(), tau=lhs, product=rhs))
+    return len(fs), found
 
 
 def _suite_blocks(p, bound, fs, w_max):
@@ -597,26 +592,6 @@ def _suite_census(p, bound, fs, w_max):
     return cases, violations, []
 
 
-def _core_pairs(p, bound, relation):
-    """Ordered pairs of distinct bar cores with matching sigma_p tau and the
-    prescribed sign relation."""
-    sigma = GaloisElement.sigma(p)
-    cores = bar_cores(p, bound)
-    for k1 in cores:
-        for k2 in cores:
-            if k1 == k2 and relation == "same":
-                continue
-            if relation == "same" and k1.sign() != k2.sign():
-                continue
-            if relation == "cross" and not (k1.sign() == -1 and k2.sign() == 1):
-                continue
-            if relation == "reversed" and not (k1.sign() == 1 and k2.sign() == -1):
-                continue
-            if tau_partition(k1, sigma) != tau_partition(k2, sigma):
-                continue
-            yield k1, k2
-
-
 def _check_map_heights(lmap, p, violations):
     src_members = tuple(s for s, _ in lmap.pairs)
     dst_members = tuple(d for _, d in lmap.pairs)
@@ -643,164 +618,129 @@ def _check_map_heights(lmap, p, violations):
             )
 
 
-def _run_psi_suite(p, bound, fs, w_max, relation, allow_reversed=False):
+@dataclass(frozen=True)
+class _Side:
+    """What the core-replacement runner needs to know of the spin or the
+    non-spin blocks.  The fields are lambdas so that every call looks the
+    library function up by its module-global name."""
+
+    cores: Callable  # (p, bound) -> the cores, in sweep order
+    tau: Callable  # (core, f) -> sign
+    replace: Callable  # (k1, k2, w, group, p, allow_reversed) -> LabelMap
+    members: Callable  # block -> its member labels
+    extra: Callable  # (k2, violation, p) -> extra fields of an equivariance witness
+
+
+_SPIN = _Side(
+    cores=lambda p, bound: bar_cores(p, bound),
+    tau=lambda kappa, f: tau_partition(kappa, f),
+    replace=lambda k1, k2, w, group, p, rev: psi(SpinBlockId(k1, w, group, p), k2, rev),
+    members=lambda block: spin_block_members(block),
+    extra=lambda k2, v, p: {
+        "kappa2_sign": k2.sign(),
+        "cocore_sign": bar_decompose(BarPartition(v["label"]["partition"]), p).cocore.sign(),
+    },
+)
+_NONSPIN = _Side(
+    cores=lambda p, bound: selfconjugate_cores(p, bound),
+    tau=lambda kappa, f: tau_selfconjugate(kappa, f),
+    replace=lambda k1, k2, w, group, p, rev: nonspin_psi(k1, k2, w, p),
+    members=lambda block: nonspin_block_members(block),
+    extra=lambda k2, v, p: {},
+)
+
+
+def _replace_cores(p, bound, fs, w_max, side, related, groups, allow_reversed=False):
+    """Map every block over k1 to the block over k2, for each pair of distinct
+    related cores with matching sigma_p tau, and check that the map is a
+    bijection, Galois-equivariant and, unless reversed, height-preserving.
+    A group of None marks the non-spin blocks, whose witnesses carry none."""
     fs = tuple(fs or standard_generators(p))
-    violations = []
-    cases = 0
-    groups = (STILDE, ATILDE) if relation == "same" else (STILDE,)
-    for k1, k2 in _core_pairs(p, bound, relation):
-        for w in range(1, w_max + 1):
-            for group in groups:
-                block = SpinBlockId(k1, w, group, p)
-                lmap = psi(block, k2, allow_reversed=allow_reversed)
-                cases += 1
-                images = sorted((d for _, d in lmap.pairs), key=CharLabel.sort_key)
-                if images != list(spin_block_members(lmap.target)):
-                    violations.append(
-                        {
-                            "kappa": k1.to_json(),
-                            "kappa2": k2.to_json(),
-                            "w": w,
-                            "group": group,
-                            "reason": "not a bijection onto the target block",
-                        }
-                    )
-                    continue
-                report = equivariance_check(lmap, fs)
-                cases += report.cases
-                for v in report.violations:
-                    v = dict(v)
-                    v["kappa"] = k1.to_json()
-                    v["kappa2"] = k2.to_json()
-                    v["w"] = w
-                    v["kappa2_sign"] = k2.sign()
-                    lam = BarPartition(v["label"]["partition"])
-                    v["cocore_sign"] = bar_decompose(lam, p).cocore.sign()
-                    violations.append(v)
-                if not allow_reversed:
+    sigma = GaloisElement.sigma(p)
+    cores = side.cores(p, bound)
+    cases, violations = 0, []
+    for k1 in cores:
+        for k2 in cores:
+            if not related(k1, k2) or side.tau(k1, sigma) != side.tau(k2, sigma):
+                continue
+            for w in range(1, w_max + 1):
+                for group in groups:
+                    lmap = side.replace(k1, k2, w, group, p, allow_reversed)
                     cases += 1
-                    _check_map_heights(lmap, p, violations)
+                    images = sorted((d for _, d in lmap.pairs), key=CharLabel.sort_key)
+                    if images != list(side.members(lmap.target)):
+                        where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
+                        if group is not None:
+                            where["group"] = group
+                        where["reason"] = "not a bijection onto the target block"
+                        violations.append(where)
+                        continue
+                    report = equivariance_check(lmap, fs)
+                    cases += report.cases
+                    for v in report.violations:
+                        where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
+                        violations.append({**v, **where, **side.extra(k2, v, p)})
+                    if not allow_reversed:
+                        cases += 1
+                        _check_map_heights(lmap, p, violations)
     return cases, violations, []
 
 
-def _suite_psi(p, bound, fs, w_max):
-    return _run_psi_suite(p, bound, fs, w_max, "same")
-
-
-def _suite_crossing(p, bound, fs, w_max):
-    return _run_psi_suite(p, bound, fs, w_max, "cross")
-
-
 def _suite_crossing_fails(p, bound, fs, w_max):
-    cases, violations, _ = _run_psi_suite(p, bound, fs, w_max, "reversed", allow_reversed=True)
+    cases, violations, _ = _replace_cores(
+        p, bound, fs, w_max, _SPIN, _reversed_crossing, (STILDE,), allow_reversed=True
+    )
     notes = [f"expected: violations iff p = 3 mod 4 (here p % 4 = {p % 4})"]
     return cases, violations, notes
 
 
-def _selfconjugate_upto(bound: int):
-    for n in range(bound + 1):
-        yield from enumerate_partitions(n, "self_conjugate")
+def _same_sign(k1, k2):
+    return k1 != k2 and k1.sign() == k2.sign()
 
 
-def _suite_tau_nonspin(p, bound, fs, w_max):
-    fs = tuple(fs or standard_generators(p))
-    violations = []
-    cases = 0
-    for lam in _selfconjugate_upto(bound):
-        dec = ordinary_decompose(lam, p)
-        for f in fs:
-            cases += 1
-            lhs = tau_selfconjugate(lam, f)
-            rhs = tau_selfconjugate(dec.core, f) * tau_selfconjugate(dec.cocore, f)
-            if lhs != rhs:
-                violations.append({"lambda": lam.to_json(), "f": f.to_json(), "tau": lhs, "product": rhs})
-    return cases, violations, []
+def _crossing(k1, k2):
+    return k1.sign() == -1 and k2.sign() == 1
 
 
-def _suite_durfee(p, bound, fs, w_max):
-    violations = []
-    cases = 0
-    for lam in _selfconjugate_upto(bound):
-        cases += 1
-        dec = ordinary_decompose(lam, p)
-        if lam.durfee() != dec.core.durfee() + dec.cocore.durfee() - 2 * dec.d:
-            violations.append(
-                {
-                    "lambda": lam.to_json(),
-                    "durfee": lam.durfee(),
-                    "core_durfee": dec.core.durfee(),
-                    "cocore_durfee": dec.cocore.durfee(),
-                    "d": dec.d,
-                }
-            )
-    return cases, violations, []
-
-
-def _suite_psi_nonspin(p, bound, fs, w_max):
-    fs = tuple(fs or standard_generators(p))
-    sigma = GaloisElement.sigma(p)
-    violations = []
-    cases = 0
-    cores = selfconjugate_cores(p, bound)
-    for k1 in cores:
-        for k2 in cores:
-            if k1 == k2:
-                continue
-            if tau_selfconjugate(k1, sigma) != tau_selfconjugate(k2, sigma):
-                continue
-            for w in range(1, w_max + 1):
-                lmap = nonspin_psi(k1, k2, w, p)
-                cases += 1
-                images = sorted((d for _, d in lmap.pairs), key=CharLabel.sort_key)
-                if images != list(nonspin_block_members(lmap.target)):
-                    violations.append(
-                        {
-                            "kappa": k1.to_json(),
-                            "kappa2": k2.to_json(),
-                            "w": w,
-                            "reason": "not a bijection onto the target block",
-                        }
-                    )
-                    continue
-                report = equivariance_check(lmap, fs)
-                cases += report.cases
-                for v in report.violations:
-                    v = dict(v)
-                    v["kappa"] = k1.to_json()
-                    v["kappa2"] = k2.to_json()
-                    v["w"] = w
-                    violations.append(v)
-                cases += 1
-                _check_map_heights(lmap, p, violations)
-    return cases, violations, []
+def _reversed_crossing(k1, k2):
+    return k1.sign() == 1 and k2.sign() == -1
 
 
 SUITES = {
-    "roundtrips": _suite_roundtrips,
-    "lengths": _suite_lengths,
-    "signs": _suite_signs,
-    "sizes": _suite_sizes,
-    "pairing": _suite_pairing,
-    "tau_oracle": _suite_tau_oracle,
+    "roundtrips": _sweep(_strict_upto, _roundtrips),
+    "lengths": _sweep(_strict_upto, _lengths),
+    "signs": _sweep(_strict_upto, _signs),
+    "sizes": _sweep(_strict_upto, _sizes),
+    "pairing": _sweep(_strict_upto, _pairing),
+    "tau_oracle": _sweep(_m_upto, _tau_oracle),
     "little": _suite_little,
-    "phi": _suite_phi,
-    "valuation": _suite_valuation,
+    "phi": _sweep(_strict_upto, _phi, gens=True),
+    "valuation": _sweep(_strict_upto, _valuation),
     "blocks": _suite_blocks,
     "census": _suite_census,
-    "psi": _suite_psi,
-    "crossing": _suite_crossing,
+    "psi": partial(_replace_cores, side=_SPIN, related=_same_sign, groups=(STILDE, ATILDE)),
+    "crossing": partial(_replace_cores, side=_SPIN, related=_crossing, groups=(STILDE,)),
     "crossing_fails": _suite_crossing_fails,
-    "tau_nonspin": _suite_tau_nonspin,
-    "durfee": _suite_durfee,
-    "psi_nonspin": _suite_psi_nonspin,
+    "tau_nonspin": _sweep(_selfconjugate_upto, _tau_nonspin, gens=True),
+    "durfee": _sweep(_selfconjugate_upto, _durfee),
+    "psi_nonspin": partial(_replace_cores, side=_NONSPIN, related=operator.ne, groups=(None,)),
 }
 
 
 def verify(suite: str, p: int, bound: int, fs=None, w_max: int = 3) -> VerificationReport:
-    """Run a named exhaustive suite up to the given size bound."""
+    """Run a named exhaustive suite up to the given size bound.
+
+    The arguments are checked here, before any work: p must be an odd
+    prime, bound and w_max at least 1, and the tau_oracle bound at most
+    ORACLE_MAX_M."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    GaloisElement(p)  # raises "p must be an odd prime, got ..." for any other p
+    if w_max < 1:
+        raise ValueError(f"w_max must be at least 1, got {w_max}")
+    if suite == "tau_oracle" and bound > ORACLE_MAX_M:
+        raise ValueError(f"tau_oracle needs bound <= {ORACLE_MAX_M}, got {bound}")
     cases, violations, notes = SUITES[suite](p, bound, fs, w_max)
     return VerificationReport(suite, p, bound, cases, tuple(violations), tuple(notes))

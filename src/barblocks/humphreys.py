@@ -166,26 +166,3 @@ def g_height_and_defect(members, p: int):
     defect = order_val - low
     heights = {label: v - low for label, v in vals.items()}
     return defect, heights
-
-
-# ---------------------------------------------------------------------------
-# Element-level structure of the twisted product (multiplication cocycle,
-# spin representation matrices, intertwiners, gradings) is outside the scope
-# of this label-level library.  The names are reserved so that the boundary
-# is explicit.
-
-
-def twisted_multiplication(*_args, **_kwargs):
-    raise NotImplementedError("element-level twisted multiplication is out of scope")
-
-
-def spin_representation_matrix(*_args, **_kwargs):
-    raise NotImplementedError("explicit spin representation matrices are out of scope")
-
-
-def associator_intertwiner(*_args, **_kwargs):
-    raise NotImplementedError("intertwiner matrices are out of scope")
-
-
-def grading_function(*_args, **_kwargs):
-    raise NotImplementedError("element gradings are out of scope")

@@ -178,10 +178,6 @@ def bar_cocore(lam: BarPartition, t: int) -> BarPartition:
     return bar_decompose(lam, t).cocore
 
 
-def bar_weight(lam: BarPartition, t: int) -> int:
-    return bar_decompose(lam, t).weight
-
-
 def paired_parts(lam: BarPartition, p: int) -> tuple[tuple[int, int], ...]:
     """Match the parts of a p-cocore across residue pairs (r, p-r).
 
@@ -278,10 +274,6 @@ def ordinary_decompose(lam: Partition, p: int) -> OrdinaryLittlewood:
     if p % 2 == 0 or p < 3:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     return _ordinary_decompose_cached(lam.parts, int(p))
-
-
-def is_p_core(lam: Partition, p: int) -> bool:
-    return ordinary_decompose(lam, p).weight == 0
 
 
 def ordinary_reconstruct(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:

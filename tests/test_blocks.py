@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from barblocks import blocks
 from barblocks.blocks import (
     LabelMap,
     NonSpinBlockId,
@@ -201,20 +203,38 @@ def test_selfconjugate_cores_helper():
             assert ordinary_decompose(k, p).weight == 0
 
 
-@pytest.mark.parametrize(
-    "suite",
-    ["roundtrips", "lengths", "signs", "sizes", "pairing", "little", "phi", "valuation"],
-)
+ELEMENTWISE_CASES = {  # p = 3, bound 14
+    "roundtrips": 110,
+    "lengths": 110,
+    "signs": 110,
+    "sizes": 110,
+    "pairing": 29,
+    "tau_oracle": 84,
+    "little": 330,
+    "phi": 660,
+    "valuation": 87,
+    "tau_nonspin": 72,
+    "durfee": 24,
+}
+
+
+@pytest.mark.parametrize("suite", list(ELEMENTWISE_CASES))
 def test_elementwise_suites_pass(suite):
     report = verify(suite, 3, 14)
     assert report.passed
-    assert report.cases > 0
+    assert report.cases == ELEMENTWISE_CASES[suite]
+    if suite == "little":
+        assert report.notes == ("case_i=86", "case_ii=24", "case_iii=220")
 
 
 def test_block_suites_pass():
-    for suite in ("blocks", "census", "psi", "crossing"):
+    expected = {"blocks": 20, "census": 10, "psi": 128, "crossing": 32, "psi_nonspin": 30}
+    for suite, cases in expected.items():
         report = verify(suite, 3, 7, w_max=2)
         assert report.passed, (suite, report.violations[:2])
+        assert report.cases == cases, suite
+    report = verify("crossing_fails", 3, 7, w_max=2)
+    assert (report.cases, len(report.violations)) == (28, 6)
 
 
 def test_crossing_fails_finds_localized_violations():
@@ -224,21 +244,106 @@ def test_crossing_fails_finds_localized_violations():
         assert v["kappa2_sign"] == -1
         assert v["cocore_sign"] == -1
         assert v["f"] == {"p": 3, "e": 1, "s": 1}
+    assert list(report.violations[0]) == [
+        "label", "image", "f", "tau_source", "tau_image",
+        "kappa", "kappa2", "w", "kappa2_sign", "cocore_sign",
+    ]
     clean = verify("crossing_fails", 5, 8, w_max=1)
     assert clean.passed
 
 
 def test_nonspin_suites_pass():
-    assert verify("tau_nonspin", 3, 12).passed
-    assert verify("durfee", 3, 16).passed
-    assert verify("psi_nonspin", 3, 6, w_max=2).passed
+    for suite, bound, w_max, cases in (
+        ("tau_nonspin", 12, 3, 54),
+        ("durfee", 16, 3, 33),
+        ("psi_nonspin", 6, 2, 30),
+    ):
+        report = verify(suite, 3, bound, w_max=w_max)
+        assert report.passed
+        assert report.cases == cases, suite
 
 
-def test_verify_rejects_unknown_suite():
+def test_verify_rejects_unknown_suite(monkeypatch):
     with pytest.raises(ValueError):
         verify("nope", 3, 10)
     with pytest.raises(ValueError):
         verify("lengths", 3, 0)
+    for suite in ("roundtrips", "little", "blocks"):
+        with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+            verify(suite, 9, 5)
+    for suite, w_max in (("blocks", 0), ("psi", -2)):
+        with pytest.raises(ValueError, match="w_max"):
+            verify(suite, 3, 5, w_max=w_max)
+
+    def oracle_called(*_args):
+        raise AssertionError("the oracle bound is checked before the sweep")
+
+    monkeypatch.setattr(blocks, "oracle_tau_sqrt", oracle_called)
+    with pytest.raises(ValueError, match="tau_oracle"):
+        verify("tau_oracle", 3, 2_000_000)
+
+
+def _doctored(name, make):
+    real = getattr(blocks, name)
+    return name, lambda *args: make(real(*args))
+
+
+def _shift_d(dec):
+    return dataclasses.replace(dec, d=dec.d + 1)
+
+
+def _extra_part(kind):
+    return lambda lam: kind((1000,) + lam.parts)
+
+
+# Each suite sees a doctored library function through the name it calls;
+# a suite that held the function itself would not see the change.
+WITNESS_CASES = [
+    (
+        "lengths", 3, _doctored("bar_decompose", _shift_d),
+        {"lambda": [], "length": 0, "core_length": 0, "cocore_length": 0, "d": 1},
+    ),
+    (
+        "signs", 3,
+        _doctored("bar_decompose", lambda dec: dataclasses.replace(dec, cocore=BarPartition([2]))),
+        {"lambda": [], "sign": 1, "core_sign": 1, "cocore_sign": -1},
+    ),
+    (
+        "sizes", 3,
+        _doctored("bar_decompose", lambda dec: dataclasses.replace(dec, weight=dec.weight + 1)),
+        {"lambda": [], "size": 0, "core_size": 0, "weight": 1},
+    ),
+    (
+        "durfee", 3, _doctored("ordinary_decompose", _shift_d),
+        {"lambda": [], "durfee": 0, "core_durfee": 0, "cocore_durfee": 0, "d": 1},
+    ),
+    (
+        "roundtrips", 3, _doctored("bar_reconstruct", _extra_part(BarPartition)),
+        {"lambda": [], "reason": "decompose round trip"},
+    ),
+    (
+        "psi", 4, _doctored("bar_reconstruct", _extra_part(BarPartition)),
+        {
+            "kappa": [], "kappa2": [1], "w": 1, "group": "stilde",
+            "reason": "not a bijection onto the target block",
+        },
+    ),
+    (
+        "psi_nonspin", 5, _doctored("ordinary_reconstruct", _extra_part(Partition)),
+        {"kappa": [], "kappa2": [1], "w": 1, "reason": "not a bijection onto the target block"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, bound, doctor, witness", WITNESS_CASES, ids=[case[0] for case in WITNESS_CASES]
+)
+def test_failing_suites_report_exact_witness(monkeypatch, suite, bound, doctor, witness):
+    monkeypatch.setattr(blocks, *doctor)
+    report = verify(suite, 3, bound, w_max=1)
+    first = report.violations[0]
+    assert first == witness
+    assert list(first) == list(witness)
 
 
 def test_report_json_schema_and_determinism():

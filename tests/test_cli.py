@@ -170,6 +170,18 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_refuses_bad_arguments_before_work(capsys):
+    for argv in (
+        ("verify", "roundtrips", "--p", "9", "--max-n", "5"),
+        ("verify", "blocks", "--p", "3", "--max-n", "5", "--max-w", "0"),
+        ("verify", "tau_oracle", "--p", "3", "--max-n", "2000000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_determinism(capsys):
     first = run(capsys, "blocks", "--p", "3", "--n", "7", "--group", "atilde")
     second = run(capsys, "blocks", "--p", "3", "--n", "7", "--group", "atilde")

@@ -7,17 +7,13 @@ from barblocks.humphreys import (
     GPLUS,
     GBlockId,
     GCharLabel,
-    associator_intertwiner,
     block_members,
     classify_g,
     cocores,
     g_degree_valuation,
-    grading_function,
     phi,
     phi_inverse,
-    spin_representation_matrix,
     tau_g,
-    twisted_multiplication,
 )
 from barblocks.littlewood import bar_decompose
 from barblocks.partitions import BarPartition, enumerate_partitions
@@ -152,17 +148,6 @@ def test_g_degree_valuation():
     slabel = classify(lam, STILDE)[0]
     glabel = phi(slabel, 3)
     assert g_degree_valuation(glabel, 3) == degree_valuation(slabel, 3)
-
-
-def test_out_of_scope_symbols_raise():
-    for fn in (
-        twisted_multiplication,
-        spin_representation_matrix,
-        associator_intertwiner,
-        grading_function,
-    ):
-        with pytest.raises(NotImplementedError):
-            fn()
 
 
 def test_gcharlabel_json():
