@@ -7,7 +7,10 @@ Conventions used throughout:
   above the fence is white and every bead below is black; a runner is stored
   as the finite deviation from that default (`black_above`, `white_below`),
   so the default runner encodes the empty partition and the infinite abacus
-  is never materialized.
+  is never materialized.  The engine in littlewood.py holds the same pair as
+  two descending int tuples.
+* With above slot k at position k and below slot k at position -1-k, a shift
+  by c is one translation of every bead (`_shift`); pull_up is c = 1.
 * A runner is *pointed* when it carries as many black beads above as white
   beads below.  A pointed runner encodes a partition through its Frobenius
   symbol: black slots above are the arms, white slots below are the legs.
@@ -16,6 +19,8 @@ Conventions used throughout:
   positive).
 * Twisting folds runner r and runner t-r (1 <= r <= (t-1)/2) into one fenced
   runner: runner r above the fence, runner t-r color-reversed below it.
+
+The classes validate their input; they are the view for rendering and JSON.
 """
 
 from __future__ import annotations
@@ -34,6 +39,24 @@ def _as_slot_set(xs: Iterable[int]) -> frozenset:
     if any(x < 0 for x in out):
         raise ValueError("slot labels must be non-negative")
     return out
+
+
+def _shift(above: tuple, below: tuple, c: int) -> tuple[tuple, tuple]:
+    """Translate every bead of the runner (above, below) by c positions.
+
+    For c > 0 the below slots 0..c-1 cross the fence, and the black ones
+    among them land on above slots c-1..0.  A push down (c < 0) is the pull
+    up of the color-reversed mirror runner (below, above).  Descending slot
+    tuples stay descending.
+    """
+    if c < 0:
+        below, above = _shift(below, above, -c)
+        return above, below
+    white = set(below)
+    return (
+        tuple(x + c for x in above) + tuple(c - 1 - k for k in range(c) if k not in white),
+        tuple(k - c for k in below if k >= c),
+    )
 
 
 @dataclass(frozen=True)
@@ -80,10 +103,8 @@ class FencedRunner:
 
     def shift(self, c: int) -> "FencedRunner":
         """Pull up c times (c > 0) or push down -c times (c < 0)."""
-        r = self
-        for _ in range(abs(c)):
-            r = r.pull_up() if c > 0 else r.push_down()
-        return r
+        above, below = _shift(tuple(self.black_above), tuple(self.white_below), c)
+        return FencedRunner(frozenset(above), frozenset(below))
 
     def normalize(self) -> tuple["FencedRunner", int]:
         """Unique pointed runner reachable by pushing down / pulling up.
@@ -108,11 +129,7 @@ class FencedRunner:
     def reference(cls, m: int) -> "FencedRunner":
         """Runner with the first m above slots blackened (m > 0) or the
         first -m below slots whitened (m < 0)."""
-        if m > 0:
-            return cls(frozenset(range(m)), frozenset())
-        if m < 0:
-            return cls(frozenset(), frozenset(range(-m)))
-        return cls()
+        return cls().shift(m)
 
     def to_json(self) -> dict:
         return {"above": sorted(self.black_above), "below": sorted(self.white_below)}

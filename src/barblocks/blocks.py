@@ -290,7 +290,7 @@ def _tau_of(label, f: GaloisElement) -> int:
     return label_tau(label, f)
 
 
-def equivariance_check(lmap: LabelMap, fs, suite: str = "equivariance") -> VerificationReport:
+def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     """Compare the permutation sign of every automorphism on each associate
     pair with the sign on its image; self-associate labels must map to
     self-associate labels."""
@@ -338,7 +338,7 @@ def equivariance_check(lmap: LabelMap, fs, suite: str = "equivariance") -> Verif
             else tau_selfconjugate(dst_core, sigma)
         )
         notes.append(f"core tau under sigma_p: source {t1}, target {t2}, matching={t1 == t2}")
-    return VerificationReport(suite, p, 0, cases, tuple(violations), tuple(notes))
+    return VerificationReport("equivariance", p, 0, cases, tuple(violations), tuple(notes))
 
 
 def _strict_upto(bound: int):

@@ -159,41 +159,33 @@ def _spin_blocks_of(n: int, p: int, group: str):
 
 
 def _cmd_blocks(args) -> int:
+    GaloisElement(args.p)  # raises "p must be an odd prime, got ..." for any other p
+    spin = args.group in (STILDE, ATILDE)
+    if spin:
+        blocks = _spin_blocks_of(args.n, args.p, args.group)
+    else:
+        blocks = (
+            GBlockId(kappa, (args.n - kappa.size) // args.p, args.group, args.p)
+            for kappa in bar_cores(args.p, args.n)
+            if args.n > kappa.size and (args.n - kappa.size) % args.p == 0
+        )
     out = []
-    if args.group in (STILDE, ATILDE):
-        for block in _spin_blocks_of(args.n, args.p, args.group):
+    for block in blocks:
+        if spin:
             members = spin_block_members(block)
             defect, heights = height_and_defect(members, block.n, args.p)
-            out.append(
-                {
-                    "kappa": block.kappa.to_json(),
-                    "w": block.w,
-                    "group": block.group,
-                    "defect": defect,
-                    "members": [
-                        {**label.to_json(), "height": heights[label]} for label in members
-                    ],
-                }
-            )
-    else:
-        for kappa in bar_cores(args.p, args.n):
-            rem = args.n - kappa.size
-            if rem <= 0 or rem % args.p:
-                continue
-            block = GBlockId(kappa, rem // args.p, args.group, args.p)
+        else:
             members = block_members(block)
             defect, heights = g_height_and_defect(members, args.p)
-            out.append(
-                {
-                    "kappa": kappa.to_json(),
-                    "w": block.w,
-                    "group": block.group,
-                    "defect": defect,
-                    "members": [
-                        {**label.to_json(), "height": heights[label]} for label in members
-                    ],
-                }
-            )
+        out.append(
+            {
+                "kappa": block.kappa.to_json(),
+                "w": block.w,
+                "group": block.group,
+                "defect": defect,
+                "members": [{**label.to_json(), "height": heights[label]} for label in members],
+            }
+        )
     if args.json:
         print(json.dumps(out))
         return 0

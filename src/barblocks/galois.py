@@ -207,20 +207,24 @@ class SurdValue:
         return cls(0, 0, 1)
 
 
+def _tau_product(two_exp: int, i_exp: int, radicands: Iterable[int], f: GaloisElement) -> int:
+    """Sign by which f scales sqrt(2)**two_exp * i**i_exp * sqrt(prod radicands);
+    tau_sqrt is multiplicative and blind to squares, so nothing is factorized."""
+    sign = (tau_sqrt2(f) ** two_exp) * (tau_i(f) ** i_exp)
+    for m in radicands:
+        sign *= tau_sqrt(m, f)
+    return sign
+
+
 def tau_surd(v: SurdValue, f: GaloisElement) -> int:
-    return (tau_sqrt2(f) ** v.two_exp) * (tau_i(f) ** v.i_exp) * tau_sqrt(v.radicand, f)
+    return _tau_product(v.two_exp, v.i_exp, (v.radicand,), f)
 
 
-@lru_cache(maxsize=None)
-def _diff_value_cached(parts: tuple[int, ...]) -> SurdValue:
-    lam = BarPartition(parts)
-    if not lam:
-        return SurdValue.one()
-    n, k = lam.size, lam.length
-    radicand = squarefree_of_product(lam.parts)
-    if lam.sign() == -1:
-        return SurdValue(1, (n - k + 1) // 2, radicand)
-    return SurdValue(0, (n - k) // 2, radicand)
+def _diff_exponents(n: int, k: int) -> tuple[int, int]:
+    """(two_exp, i_exp) of the difference value of a strict partition of n
+    into k parts."""
+    two_exp = (n - k) % 2
+    return two_exp, (n - k + two_exp) // 2
 
 
 def diff_value(lam: BarPartition) -> SurdValue:
@@ -229,12 +233,12 @@ def diff_value(lam: BarPartition) -> SurdValue:
     the sign is -1, i**((n-k)/2) * sqrt(prod parts) when it is +1."""
     if not isinstance(lam, BarPartition):
         lam = BarPartition(lam)
-    return _diff_value_cached(lam.parts)
+    return SurdValue(*_diff_exponents(lam.size, lam.length), squarefree_of_product(lam.parts))
 
 
 @lru_cache(maxsize=None)
 def _tau_partition_cached(parts: tuple[int, ...], f: GaloisElement) -> int:
-    return tau_surd(_diff_value_cached(parts), f)
+    return _tau_product(*_diff_exponents(sum(parts), len(parts)), parts, f)
 
 
 def tau_partition(lam: BarPartition, f: GaloisElement) -> int:
@@ -245,20 +249,22 @@ def tau_partition(lam: BarPartition, f: GaloisElement) -> int:
     return _tau_partition_cached(lam.parts, f)
 
 
+def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
+    if not lam.is_self_conjugate():
+        raise ValueError(f"{lam!r} is not self-conjugate")
+    return lam.diagonal_hooks()
+
+
 def selfconjugate_diff_value(lam: Partition) -> SurdValue:
     """Difference-character value for a self-conjugate partition: the part
     lengths are replaced by the diagonal hook lengths."""
-    if not lam.is_self_conjugate():
-        raise ValueError(f"{lam!r} is not self-conjugate")
-    if not lam:
-        return SurdValue.one()
-    hooks = lam.diagonal_hooks()
-    n, c = lam.size, len(hooks)
-    return SurdValue(0, (n - c) // 2, squarefree_of_product(hooks))
+    hooks = _selfconjugate_hooks(lam)
+    return SurdValue(0, (lam.size - len(hooks)) // 2, squarefree_of_product(hooks))
 
 
 def tau_selfconjugate(lam: Partition, f: GaloisElement) -> int:
-    return tau_surd(selfconjugate_diff_value(lam), f)
+    hooks = _selfconjugate_hooks(lam)
+    return _tau_product(0, (lam.size - len(hooks)) // 2, hooks, f)
 
 
 # ---------------------------------------------------------------------------

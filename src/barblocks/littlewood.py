@@ -1,31 +1,61 @@
 """Core/quotient/cocore decompositions of bar-partitions and of ordinary
 partitions, plus the pairing of parts (resp. diagonal hooks) on cocores.
 
-The strict-partition decomposition works on the twisted t-abacus: runner 0 is
-read off directly, every other fenced runner is normalized to its pointed
-form, and the discarded shifts form the characteristic vector.  The vector
-determines the core, the pointed runners the cocore, and the count d records
-the beads whose parts vanish when the shifts are reapplied, which makes
-``length == core.length + cocore.length - 2*d`` an exact identity.
+One engine serves both kinds.  A runner is a pair of descending int tuples
+(black_above, white_below), as in abacus.py, and shifting it is one
+translation of its beads (abacus._shift).  A layout says how the numbers of
+a label lie on the fenced runners j = 0, 1, ... of modulus m: runner j holds
+m*x + j + head at above slot x and m*x + m-1-j at below slot x.
 
-The ordinary decomposition runs the same engine on a family of p fenced
-runners built from the Frobenius symbol (arm a above runner a mod p, leg l
-below runner p-1-(l mod p)), so that conjugation is literally the runner
-reflection j <-> p-1-j.
+* bar, odd t, head 1: the numbers are the parts, as on the twisted t-abacus;
+  the parts t*x lie on its unfenced runner 0, read off directly as the
+  first, strict quotient component.
+* ordinary, odd prime p, head 0: the numbers are the arms (above) and legs
+  (below) of the Frobenius symbol, so conjugation is the runner reflection
+  j <-> p-1-j.
+
+Each runner is normalized by the shift of minus its charnum.  The shifts form
+the characteristic vector, whose reference runners give the core; the pointed
+runners give the quotient and the cocore.  d counts the beads whose numbers
+vanish when the shifts are reapplied, which makes ``length == core.length +
+cocore.length - 2*d`` exact (for a self-conjugate partition, the same identity
+of Durfee sizes).  The runners counted for d are those whose beads pair up on
+a cocore: all runners for bar, one of each pair {j, p-1-j} for ordinary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .abacus import BarAbacus, FencedRunner, TwistedBarAbacus
-from .partitions import BarPartition, FrobeniusSymbol, Partition
+from .abacus import _shift
+from .partitions import BarPartition, Partition, _frobenius, _from_frobenius
+
+
+class _Record:
+    """JSON form shared by the two decomposition records."""
+
+    def to_json(self) -> dict:
+        return {
+            "core": self.core.to_json(),
+            "quotient": [q.to_json() for q in self.quotient],
+            "charvec": list(self.charvec),
+            "weight": self.weight,
+            "cocore": self.cocore.to_json(),
+            "d": self.d,
+        }
+
+    @classmethod
+    def _read(cls, data: dict, m: int, label: type, head: int):
+        q = data["quotient"]
+        quotient = tuple(map(BarPartition, q[:head])) + tuple(map(Partition, q[head:]))
+        core, cocore = label(data["core"]), label(data["cocore"])
+        return cls(m, core, quotient, tuple(data["charvec"]), data["weight"], cocore, data["d"])
 
 
 @dataclass(frozen=True)
-class BarLittlewood:
+class BarLittlewood(_Record):
     """Decomposition record of a bar-partition for an odd t."""
 
     t: int
@@ -36,33 +66,13 @@ class BarLittlewood:
     cocore: BarPartition
     d: int
 
-    def to_json(self) -> dict:
-        return {
-            "core": self.core.to_json(),
-            "quotient": [q.to_json() for q in self.quotient],
-            "charvec": list(self.charvec),
-            "weight": self.weight,
-            "cocore": self.cocore.to_json(),
-            "d": self.d,
-        }
-
     @classmethod
     def from_json(cls, data: dict, t: int) -> "BarLittlewood":
-        quotient = [BarPartition(data["quotient"][0])]
-        quotient += [Partition(q) for q in data["quotient"][1:]]
-        return cls(
-            t=t,
-            core=BarPartition(data["core"]),
-            quotient=tuple(quotient),
-            charvec=tuple(data["charvec"]),
-            weight=data["weight"],
-            cocore=BarPartition(data["cocore"]),
-            d=data["d"],
-        )
+        return cls._read(data, t, BarPartition, head=1)
 
 
 @dataclass(frozen=True)
-class OrdinaryLittlewood:
+class OrdinaryLittlewood(_Record):
     """Decomposition record of an ordinary partition for an odd prime p."""
 
     p: int
@@ -73,78 +83,146 @@ class OrdinaryLittlewood:
     cocore: Partition
     d: int
 
-    def to_json(self) -> dict:
-        return {
-            "core": self.core.to_json(),
-            "quotient": [q.to_json() for q in self.quotient],
-            "charvec": list(self.charvec),
-            "weight": self.weight,
-            "cocore": self.cocore.to_json(),
-            "d": self.d,
-        }
-
     @classmethod
     def from_json(cls, data: dict, p: int) -> "OrdinaryLittlewood":
-        return cls(
-            p=p,
-            core=Partition(data["core"]),
-            quotient=tuple(Partition(q) for q in data["quotient"]),
-            charvec=tuple(data["charvec"]),
-            weight=data["weight"],
-            cocore=Partition(data["cocore"]),
-            d=data["d"],
-        )
+        return cls._read(data, p, Partition, head=0)
 
 
-def _core_from_charvec(charvec: Sequence[int], t: int) -> BarPartition:
-    parts = []
-    for i, c in enumerate(charvec):
-        r = i + 1
-        if c > 0:
-            parts.extend(t * x + r for x in range(c))
-        elif c < 0:
-            parts.extend(t * x + (t - r) for x in range(-c))
-    return BarPartition(sorted(parts, reverse=True))
+# ---------------------------------------------------------------------------
+# the engine
+
+
+class _Layout(NamedTuple):
+    record: type
+    label: type
+    modulus: str  # the rule on m, for error messages
+    head: int  # quotient components, and residues, read off directly
+    width: Callable[[int], int]  # number of runners at modulus m
+    counted: Callable[[int], int]  # runners 0..counted-1 count toward d and pair up
+    numbers: Callable  # (parts, m) -> (runner-0 slots, above numbers, below numbers)
+    parts: Callable  # inverse of numbers
+    pair: Callable[[int], int]  # printed form of a paired number
+
+
+_BAR = _Layout(
+    record=BarLittlewood,
+    label=BarPartition,
+    modulus="t must be an odd integer >= 3",
+    head=1,
+    width=lambda t: (t - 1) // 2,
+    counted=lambda t: (t - 1) // 2,
+    numbers=lambda parts, t: (
+        tuple(x // t for x in parts if not x % t),
+        [x for x in parts if 0 < x % t <= (t - 1) // 2],
+        [x for x in parts if x % t > (t - 1) // 2],
+    ),
+    parts=lambda runner0, above, below, t: tuple(
+        sorted([t * k for k in runner0] + above + below, reverse=True)
+    ),
+    pair=lambda x: x,
+)
+_ORDINARY = _Layout(
+    record=OrdinaryLittlewood,
+    label=Partition,
+    modulus="p must be an odd prime >= 3",
+    head=0,
+    width=lambda p: p,
+    counted=lambda p: (p + 1) // 2,
+    numbers=lambda parts, p: ((),) + _frobenius(parts),
+    parts=lambda runner0, arms, legs, p: _from_frobenius(arms, legs),
+    pair=lambda x: 2 * x + 1,
+)
+
+
+def _checked(layout: _Layout, lam, m: int) -> tuple[tuple[int, ...], int]:
+    """The parts of a label and its modulus, validated at the public boundary."""
+    if not isinstance(lam, layout.label):
+        lam = layout.label(lam)
+    if m % 2 == 0 or m < 3:
+        raise ValueError(f"{layout.modulus}, got {m}")
+    return lam.parts, int(m)
+
+
+def _runners(layout: _Layout, parts: tuple[int, ...], m: int):
+    """Runner-0 slots and the fenced runners of a label."""
+    runner0, above_numbers, below_numbers = layout.numbers(parts, m)
+    above = [[] for _ in range(layout.width(m))]
+    below = [[] for _ in range(layout.width(m))]
+    for x in above_numbers:  # descending numbers give descending slots
+        above[x % m - layout.head].append(x // m)
+    for x in below_numbers:
+        below[m - 1 - x % m].append(x // m)
+    return runner0, [(tuple(a), tuple(b)) for a, b in zip(above, below)]
+
+
+def _label_parts(layout: _Layout, runner0, runners, m: int) -> tuple[int, ...]:
+    """Inverse of _runners."""
+    above = [m * x + j + layout.head for j, (a, _) in enumerate(runners) for x in a]
+    below = [m * x + m - 1 - j for j, (_, b) in enumerate(runners) for x in b]
+    above.sort(reverse=True)
+    below.sort(reverse=True)
+    return layout.parts(runner0, above, below, m)
 
 
 @lru_cache(maxsize=None)
-def _bar_decompose_cached(parts: tuple[int, ...], t: int) -> BarLittlewood:
-    lam = BarPartition(parts)
-    twisted = BarAbacus.from_partition(lam, t).twist()
-
-    quotient: list[Partition] = [BarPartition(sorted(twisted.runner0, reverse=True))]
-    charvec: list[int] = []
-    pointed: list[FencedRunner] = []
-    d = 0
-    for fr in twisted.shifted:
-        s, c = fr.normalize()
-        pointed.append(s)
+def _decompose(layout: _Layout, parts: tuple[int, ...], m: int):
+    runner0, runners = _runners(layout, parts, m)
+    charvec, pointed, d = [], [], 0
+    counted = layout.counted(m)
+    for j, (above, below) in enumerate(runners):
+        c = len(above) - len(below)
+        above, below = _shift(above, below, -c)
         charvec.append(c)
-        quotient.append(s.to_partition())
-        if c > 0:
-            d += sum(1 for x in s.white_below if x < c)
-        elif c < 0:
-            d += sum(1 for x in s.black_above if x < -c)
+        pointed.append((above, below))
+        if j < counted:
+            d += sum(1 for x in (below if c > 0 else above) if x < abs(c))
 
-    cocore = TwistedBarAbacus(t, twisted.runner0, tuple(pointed)).to_partition()
-    return BarLittlewood(
-        t=t,
-        core=_core_from_charvec(charvec, t),
-        quotient=tuple(quotient),
-        charvec=tuple(charvec),
-        weight=sum(q.size for q in quotient),
-        cocore=cocore,
-        d=d,
-    )
+    quotient = (BarPartition(runner0),) * layout.head
+    quotient += tuple(Partition(_from_frobenius(a, b)) for a, b in pointed)
+    core = layout.label(_label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
+    cocore = layout.label(_label_parts(layout, runner0, pointed, m))
+    weight = sum(q.size for q in quotient)
+    return layout.record(m, core, quotient, tuple(charvec), weight, cocore, d)
+
+
+def _reconstruct(layout: _Layout, core, quotient, m: int):
+    if not isinstance(core, layout.label):
+        core = layout.label(core)
+    quotient = tuple(q if isinstance(q, Partition) else Partition(q) for q in quotient)
+    components = layout.head + layout.width(m)
+    if len(quotient) != components:
+        raise ValueError(f"quotient needs {components} components, got {len(quotient)}")
+    dec = _decompose(layout, *_checked(layout, core, m))
+    if dec.weight != 0:
+        raise ValueError(f"{core!r} is not a {m}-core")
+    runner0 = BarPartition(quotient[0].parts).parts if layout.head else ()
+    runners = [
+        _shift(*_frobenius(q.parts), c) for c, q in zip(dec.charvec, quotient[layout.head:])
+    ]
+    return layout.label(_label_parts(layout, runner0, runners, m))
+
+
+def _pairs(layout: _Layout, lam, m: int) -> tuple[tuple[int, int], ...]:
+    """A label is a cocore when every runner is pointed (its core is empty);
+    then each runner pairs its i-th largest above and below numbers."""
+    _, runners = _runners(layout, *_checked(layout, lam, m))
+    if any(len(above) != len(below) for above, below in runners):
+        raise ValueError(f"{lam!r} is not a {m}-cocore")
+    pairs = []
+    for j in range(layout.counted(m)):
+        above, below = runners[j]
+        for x, y in zip(above, below):
+            pairs.append((layout.pair(m * x + j + layout.head), layout.pair(m * y + m - 1 - j)))
+    return tuple(sorted(pairs))
+
+
+# ---------------------------------------------------------------------------
+# bar-partitions
 
 
 def bar_decompose(lam: BarPartition, t: int) -> BarLittlewood:
     """Decompose a strict partition into t-core, t-quotient and t-cocore."""
-    if not isinstance(lam, BarPartition):
-        lam = BarPartition(lam)
-    if t % 2 == 0 or t < 3:
-        raise ValueError(f"t must be an odd integer >= 3, got {t}")
-    return _bar_decompose_cached(lam.parts, int(t))
+    return _decompose(_BAR, *_checked(_BAR, lam, t))
 
 
 def is_bar_core(lam: BarPartition, t: int) -> bool:
@@ -154,23 +232,7 @@ def is_bar_core(lam: BarPartition, t: int) -> bool:
 def bar_reconstruct(core: BarPartition, quotient: Sequence[Partition], t: int) -> BarPartition:
     """Inverse of bar_decompose: rebuild the partition with the given core
     and quotient."""
-    if not isinstance(core, BarPartition):
-        core = BarPartition(core)
-    quotient = tuple(q if isinstance(q, Partition) else Partition(q) for q in quotient)
-    if len(quotient) != (t + 1) // 2:
-        raise ValueError(f"quotient needs {(t + 1) // 2} components, got {len(quotient)}")
-    dec = bar_decompose(core, t)
-    if dec.weight != 0:
-        raise ValueError(f"{core!r} is not a {t}-core")
-    q0 = BarPartition(quotient[0].parts)
-
-    runner0 = frozenset(q0.parts)
-    shifted = []
-    for c, q in zip(dec.charvec, quotient[1:]):
-        fs = q.frobenius()
-        pointed = FencedRunner(frozenset(fs.arms), frozenset(fs.legs))
-        shifted.append(pointed.shift(c))
-    return TwistedBarAbacus(t, runner0, tuple(shifted)).to_partition()
+    return _reconstruct(_BAR, core, quotient, t)
 
 
 def bar_cocore(lam: BarPartition, t: int) -> BarPartition:
@@ -186,111 +248,20 @@ def paired_parts(lam: BarPartition, p: int) -> tuple[tuple[int, int], ...]:
     p*x + r and p*x* + (p-r), whose sum is divisible by p.  Every part with
     nonzero residue lies in exactly one pair.
     """
-    dec = bar_decompose(lam, p)
-    if dec.core:
-        raise ValueError(f"{lam!r} is not a {p}-cocore")
-    twisted = BarAbacus.from_partition(dec.cocore, p).twist()
-    pairs = []
-    for i, fr in enumerate(twisted.shifted):
-        r = i + 1
-        arms = sorted(fr.black_above, reverse=True)
-        legs = sorted(fr.white_below, reverse=True)
-        for x, x_star in zip(arms, legs):
-            pairs.append((p * x + r, p * x_star + (p - r)))
-    return tuple(sorted(pairs))
+    return _pairs(_BAR, lam, p)
 
 
 # ---------------------------------------------------------------------------
 # ordinary partitions
 
 
-def _ordinary_runners(lam: Partition, p: int) -> list[FencedRunner]:
-    fs = lam.frobenius()
-    above = [set() for _ in range(p)]
-    below = [set() for _ in range(p)]
-    for a in fs.arms:
-        above[a % p].add(a // p)
-    for l in fs.legs:
-        below[p - 1 - (l % p)].add(l // p)
-    return [FencedRunner(frozenset(above[j]), frozenset(below[j])) for j in range(p)]
-
-
-def _partition_from_runners(runners: Sequence[FencedRunner], p: int) -> Partition:
-    arms, legs = [], []
-    for j, fr in enumerate(runners):
-        arms.extend(p * x + j for x in fr.black_above)
-        legs.extend(p * x + (p - 1 - j) for x in fr.white_below)
-    return FrobeniusSymbol(legs=tuple(legs), arms=tuple(arms)).to_partition()
-
-
-@lru_cache(maxsize=None)
-def _ordinary_decompose_cached(parts: tuple[int, ...], p: int) -> OrdinaryLittlewood:
-    lam = Partition(parts)
-    pointed: list[FencedRunner] = []
-    charvec: list[int] = []
-    quotient: list[Partition] = []
-    for fr in _ordinary_runners(lam, p):
-        s, c = fr.normalize()
-        pointed.append(s)
-        charvec.append(c)
-        quotient.append(s.to_partition())
-
-    core_above = [
-        frozenset(range(c)) if c > 0 else frozenset() for c in charvec
-    ]
-    core_below = [
-        frozenset(range(-c)) if c < 0 else frozenset() for c in charvec
-    ]
-    core = _partition_from_runners(
-        [FencedRunner(a, b) for a, b in zip(core_above, core_below)], p
-    )
-    cocore = _partition_from_runners(pointed, p)
-
-    # one window count per runner pair {j, p-1-j}; counting both members
-    # would tally every vanished diagonal hook twice
-    d = 0
-    for j in range((p + 1) // 2):
-        c, s = charvec[j], pointed[j]
-        if c > 0:
-            d += sum(1 for x in s.white_below if x < c)
-        elif c < 0:
-            d += sum(1 for x in s.black_above if x < -c)
-
-    return OrdinaryLittlewood(
-        p=p,
-        core=core,
-        quotient=tuple(quotient),
-        charvec=tuple(charvec),
-        weight=sum(q.size for q in quotient),
-        cocore=cocore,
-        d=d,
-    )
-
-
 def ordinary_decompose(lam: Partition, p: int) -> OrdinaryLittlewood:
     """p-core/p-quotient/p-cocore of an ordinary partition, p an odd prime."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
-    if p % 2 == 0 or p < 3:
-        raise ValueError(f"p must be an odd prime >= 3, got {p}")
-    return _ordinary_decompose_cached(lam.parts, int(p))
+    return _decompose(_ORDINARY, *_checked(_ORDINARY, lam, p))
 
 
 def ordinary_reconstruct(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
-    if not isinstance(core, Partition):
-        core = Partition(core)
-    quotient = tuple(q if isinstance(q, Partition) else Partition(q) for q in quotient)
-    if len(quotient) != p:
-        raise ValueError(f"quotient needs {p} components, got {len(quotient)}")
-    dec = ordinary_decompose(core, p)
-    if dec.weight != 0:
-        raise ValueError(f"{core!r} is not a {p}-core")
-    runners = []
-    for c, q in zip(dec.charvec, quotient):
-        fs = q.frobenius()
-        pointed = FencedRunner(frozenset(fs.arms), frozenset(fs.legs))
-        runners.append(pointed.shift(c))
-    return _partition_from_runners(runners, p)
+    return _reconstruct(_ORDINARY, core, quotient, p)
 
 
 def ordinary_cocore(lam: Partition, p: int) -> Partition:
@@ -303,15 +274,4 @@ def selfconjugate_paired_hooks(lam: Partition, p: int) -> tuple[tuple[int, int],
     runner pair with themselves."""
     if not lam.is_self_conjugate():
         raise ValueError(f"{lam!r} is not self-conjugate")
-    dec = ordinary_decompose(lam, p)
-    if dec.core:
-        raise ValueError(f"{lam!r} is not a {p}-cocore")
-    runners = _ordinary_runners(lam, p)
-    pairs = []
-    for j in range((p + 1) // 2):
-        fr = runners[j]
-        arms = sorted(fr.black_above, reverse=True)
-        legs = sorted(fr.white_below, reverse=True)
-        for x, x_star in zip(arms, legs):
-            pairs.append((2 * (p * x + j) + 1, 2 * (p * x_star + (p - 1 - j)) + 1))
-    return tuple(sorted(pairs))
+    return _pairs(_ORDINARY, lam, p)

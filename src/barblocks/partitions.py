@@ -71,17 +71,13 @@ class Partition:
     # -- diagram operations ----------------------------------------------
 
     def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        """Transpose of the Young diagram: arms and legs trade places."""
+        arms, legs = _frobenius(self.parts)
+        return Partition(_from_frobenius(legs, arms))
 
     def is_self_conjugate(self) -> bool:
-        return self.parts == self.conjugate().parts
+        arms, legs = _frobenius(self.parts)
+        return arms == legs
 
     def durfee(self) -> int:
         """Number of diagonal boxes."""
@@ -89,10 +85,7 @@ class Partition:
 
     def frobenius(self) -> "FrobeniusSymbol":
         """Arm/leg coordinates of the diagonal boxes."""
-        conj = self.conjugate().parts
-        d = self.durfee()
-        arms = tuple(self.parts[i] - i - 1 for i in range(d))
-        legs = tuple(conj[i] - i - 1 for i in range(d))
+        arms, legs = _frobenius(self.parts)
         return FrobeniusSymbol(legs=legs, arms=arms)
 
     def diagonal_hooks(self) -> tuple[int, ...]:
@@ -157,12 +150,36 @@ class FrobeniusSymbol:
         object.__setattr__(self, "arms", arms)
 
     def to_partition(self) -> Partition:
-        d = len(self.arms)
-        rows = [self.arms[i] + i + 1 for i in range(d)]
-        max_row = max((self.legs[j] + j + 1 for j in range(d)), default=0)
-        for i in range(d + 1, max_row + 1):
-            rows.append(sum(1 for j in range(d) if self.legs[j] + j + 1 >= i))
-        return Partition(rows)
+        return Partition(_from_frobenius(self.arms, self.legs))
+
+
+def _frobenius(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Descending (arms, legs) of a weakly decreasing part tuple in O(length):
+    leg i is the length of column i less i+1, read by a pointer walk up from
+    the last part instead of building the conjugate."""
+    d = 0
+    while d < len(parts) and parts[d] > d:
+        d += 1
+    legs, k = [], len(parts)
+    for i in range(d):
+        while parts[k - 1] <= i:
+            k -= 1
+        legs.append(k - i - 1)
+    return tuple(parts[i] - i - 1 for i in range(d)), tuple(legs)
+
+
+def _from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, ...]:
+    """Parts with the given descending arms and legs in O(d + rows): row i < d
+    is arms[i]+i+1, and each row below the diagonal counts the weakly
+    decreasing column lengths legs[j]+j+1 that reach it."""
+    d = len(arms)
+    rows = [arms[i] + i + 1 for i in range(d)]
+    j = d
+    for i in range(d + 1, legs[0] + 2 if d else 0):
+        while legs[j - 1] + j < i:
+            j -= 1
+        rows.append(j)
+    return tuple(rows)
 
 
 def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:

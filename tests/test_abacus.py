@@ -125,6 +125,25 @@ def test_push_pull_are_inverse():
         assert runner.shift(3).shift(-3) == runner
 
 
+def test_closed_form_shift_equals_single_steps():
+    # every runner with beads among the first four slots on each side
+    runners = [
+        FencedRunner({x for x in range(4) if a >> x & 1}, {x for x in range(4) if b >> x & 1})
+        for a in range(16)
+        for b in range(16)
+    ]
+    for runner in runners:
+        stepped = runner
+        for c in range(1, 7):
+            stepped = stepped.pull_up()
+            assert runner.shift(c) == stepped
+        stepped = runner
+        for c in range(-1, -7, -1):
+            stepped = stepped.push_down()
+            assert runner.shift(c) == stepped
+        assert runner.shift(0) == runner
+
+
 def test_pointed_runner_partition_round_trip():
     for n in range(12):
         for lam in enumerate_partitions(n):

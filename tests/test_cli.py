@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 
@@ -180,6 +181,33 @@ def test_verify_refuses_bad_arguments_before_work(capsys):
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_blocks_refuses_p_that_is_not_prime(capsys):
+    for group in ("stilde", "g"):
+        code, out, err = run(capsys, "blocks", "--p", "9", "--n", "5", "--group", group)
+        assert (code, out, err) == (2, "", "error: p must be an odd prime, got 9\n")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # a 31-digit prime part: the closed-form tau must not factorize it
+        (("tau", "--p", "3", "1000000000000000000000000000057,1"), "1\n"),
+        # one huge part: no cost may grow with the largest part
+        (
+            ("decompose", "--p", "3", "--nonspin", "15000000,1"),
+            "partition: 15000000,1\np: 3\ncore: 3,1\ncharvec: [0, -1, 1]\n"
+            "quotient: [[], [], [4999999]]\nweight: 4999999\ncocore: 14999997\nd: 0\n",
+        ),
+    ],
+)
+def test_huge_parts_answer_fast(capsys, argv, expected):
+    start = perf_counter()
+    code, out, _ = run(capsys, *argv)
+    elapsed = perf_counter() - start
+    assert (code, out) == (0, expected)
+    assert elapsed < 2.0
 
 
 def test_determinism(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from barblocks.littlewood import (
@@ -242,3 +245,34 @@ def test_json_record():
         "cocore": [5, 3, 1],
         "d": 0,
     }
+
+
+# sha256 over the 4,562 records of _golden_records(), one JSON line each, read
+# from the implementation that still had separate bar and ordinary code paths
+GOLDEN_DIGEST = "be38f5e701510b378c030d47b842e6a1d1c2a7e36b4fb6a55f43aac0a9b0c0b8"
+
+
+def _golden_records():
+    """Every record the decomposition engine produces on a fixed exhaustive
+    range: strict partitions up to 22 at odd t <= 11 (t = 9 is not prime),
+    all partitions up to 14 at p <= 7, and the pairings of their cocores."""
+    for t in (3, 5, 7, 9, 11):
+        for lam in strict_upto(22):
+            dec = bar_decompose(lam, t)
+            yield ["bar", t, lam.to_json(), dec.to_json()]
+            if not dec.core:
+                yield ["pairs", t, lam.to_json(), paired_parts(lam, t)]
+    for p in (3, 5, 7):
+        for lam in all_upto(14):
+            dec = ordinary_decompose(lam, p)
+            yield ["ordinary", p, lam.to_json(), dec.to_json()]
+            if not dec.core and lam.is_self_conjugate():
+                yield ["hooks", p, lam.to_json(), selfconjugate_paired_hooks(lam, p)]
+
+
+def test_golden_digest_of_records():
+    digest, count = hashlib.sha256(), 0
+    for rec in _golden_records():
+        digest.update(json.dumps(rec).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (4562, GOLDEN_DIGEST)

@@ -1,0 +1,109 @@
+"""Property tests far beyond the exhaustive bounds.
+
+hypothesis (an optional test dependency, see the ``test`` extra) draws strict,
+ordinary and self-conjugate partitions of size 100-500 and lopsided ones with
+a single part up to 10**6.  Cores are compared with the removal-based routes
+of tests/oracles.py; every draw also checks the round trip through
+reconstruct and the size, length, sign and Durfee identities.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from barblocks.littlewood import (  # noqa: E402
+    bar_decompose,
+    bar_reconstruct,
+    ordinary_decompose,
+    ordinary_reconstruct,
+)
+from barblocks.partitions import BarPartition, Partition, from_frobenius  # noqa: E402
+from oracles import bar_core_by_removal, p_core_by_hook_removal  # noqa: E402
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+MODULI = st.sampled_from((3, 5, 7, 11, 13))
+
+
+@st.composite
+def partitions_of(draw, sizes, strict):
+    """A partition of a drawn size, built part by part; a strict one keeps
+    every next part small enough that the rest still fits below it."""
+    remaining = draw(sizes)
+    parts = []
+    while remaining:
+        hi = remaining if not parts else min(remaining, parts[-1] - strict)
+        lo = 1
+        if strict:
+            while lo * (lo + 1) // 2 < remaining:
+                lo += 1
+        part = draw(st.integers(lo, hi))
+        parts.append(part)
+        remaining -= part
+    return BarPartition(parts) if strict else Partition(parts)
+
+
+@st.composite
+def lopsided(draw, strict):
+    """One part up to 10**6 on top of a small partition."""
+    rest = draw(partitions_of(st.integers(0, 30), strict))
+    big = draw(st.integers(31, 10**6))
+    return (BarPartition if strict else Partition)((big,) + rest.parts)
+
+
+@st.composite
+def self_conjugate(draw):
+    """Distinct diagonal arms from a strict partition; sizes about 100-500."""
+    arms = [x - 1 for x in draw(partitions_of(st.integers(50, 250), strict=True))]
+    return from_frobenius(arms, arms)
+
+
+def _check_bar(lam, t):
+    dec = bar_decompose(lam, t)
+    assert bar_reconstruct(dec.core, dec.quotient, t) == lam
+    assert dec.weight == sum(q.size for q in dec.quotient)
+    assert lam.size == dec.core.size + t * dec.weight
+    assert lam.length == dec.core.length + dec.cocore.length - 2 * dec.d
+    assert lam.sign() == dec.core.sign() * dec.cocore.sign()
+    return dec
+
+
+def _check_ordinary(lam, p):
+    dec = ordinary_decompose(lam, p)
+    assert ordinary_reconstruct(dec.core, dec.quotient, p) == lam
+    assert dec.weight == sum(q.size for q in dec.quotient)
+    assert lam.size == dec.core.size + p * dec.weight
+    return dec
+
+
+@PROPERTY
+@given(partitions_of(st.integers(100, 500), strict=True), MODULI)
+def test_strict_partitions(lam, t):
+    assert _check_bar(lam, t).core == bar_core_by_removal(lam, t)
+
+
+@PROPERTY
+@given(lopsided(strict=True), MODULI)
+def test_lopsided_strict_partitions(lam, t):
+    _check_bar(lam, t)
+
+
+@PROPERTY
+@given(partitions_of(st.integers(100, 500), strict=False), MODULI)
+def test_ordinary_partitions(lam, p):
+    assert _check_ordinary(lam, p).core == p_core_by_hook_removal(lam, p)
+
+
+@PROPERTY
+@given(lopsided(strict=False), MODULI)
+def test_lopsided_ordinary_partitions(lam, p):
+    _check_ordinary(lam, p)
+
+
+@PROPERTY
+@given(self_conjugate(), MODULI)
+def test_self_conjugate_partitions(lam, p):
+    dec = _check_ordinary(lam, p)
+    assert dec.core == p_core_by_hook_removal(lam, p)
+    assert lam.durfee() == dec.core.durfee() + dec.cocore.durfee() - 2 * dec.d
