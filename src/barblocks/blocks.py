@@ -2,8 +2,14 @@
 cover, the core-replacing bijections between them, and the exhaustive
 verification suites.
 
-Membership is definitional: enumerate the labels of the right size and filter
-by core.
+Membership comes from quotients, not from filtering every partition of n.  The
+members of the block (kappa, w) are the reconstructions over kappa of every
+quotient of total weight w: a strict head component and (p-1)/2 ordinary ones
+for a spin block, p ordinary ones for a non-spin block.  The engine in
+littlewood.py builds this list once per (kind, kappa, w, p), and both spin
+groups share it.  The blocks of degree n are those over the p-bar cores kappa
+with p | n - |kappa|, and bar_cores builds the cores from their
+characteristic vectors.
 
 The suites form one table, SUITES, from a name to a function
 (p, bound, fs, w_max) -> (cases, violations, notes).  Most entries are data
@@ -68,32 +74,35 @@ from .humphreys import (
     tau_g,
 )
 from .littlewood import (
+    _BAR,
+    _ORDINARY,
+    _bar_cores,
+    _checked,
+    _members,
     bar_decompose,
     bar_reconstruct,
     ordinary_decompose,
     ordinary_reconstruct,
     paired_parts,
 )
-from .partitions import BarPartition, Partition, enumerate_partitions
+from .partitions import BarPartition, Partition, _partitions_of, enumerate_partitions
 
 
-@lru_cache(maxsize=None)
 def strict_partitions_of(n: int) -> tuple[BarPartition, ...]:
-    return tuple(enumerate_partitions(n, "strict"))
+    return _partitions_of(n, "strict")
 
 
-@lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    return tuple(enumerate_partitions(n, "all"))
+    return _partitions_of(n, "all")
 
 
 @lru_cache(maxsize=None)
 def bar_cores(p: int, max_size: int) -> tuple[BarPartition, ...]:
-    """All p-bar cores of size at most max_size, by size then descending."""
-    out = []
-    for n in range(max_size + 1):
-        out.extend(k for k in strict_partitions_of(n) if bar_decompose(k, p).weight == 0)
-    return tuple(out)
+    """All p-bar cores of size at most max_size, by size then descending:
+    the cores of the characteristic vectors within the size budget."""
+    _checked(_BAR, (), p)  # the modulus check of bar_decompose
+    cores = sorted(_bar_cores(p, max_size), reverse=True)
+    return tuple(map(BarPartition, sorted(cores, key=sum)))
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +111,8 @@ def selfconjugate_cores(p: int, max_size: int) -> tuple[Partition, ...]:
     for n in range(max_size + 1):
         out.extend(
             k
-            for k in partitions_of(n)
-            if k.is_self_conjugate() and ordinary_decompose(k, p).weight == 0
+            for k in enumerate_partitions(n, "self_conjugate")
+            if ordinary_decompose(k, p).weight == 0
         )
     return tuple(out)
 
@@ -150,9 +159,8 @@ class NonSpinBlockId:
 @lru_cache(maxsize=None)
 def spin_block_members(block: SpinBlockId) -> tuple[CharLabel, ...]:
     out = []
-    for lam in strict_partitions_of(block.n):
-        if bar_decompose(lam, block.p).core == block.kappa:
-            out.extend(classify(lam, block.group, SPIN))
+    for lam in _members(_BAR, block.kappa.parts, block.p, block.w):
+        out.extend(classify(lam, block.group, SPIN))
     return tuple(sorted(out, key=CharLabel.sort_key))
 
 
@@ -166,9 +174,7 @@ def nonspin_block_members(block: NonSpinBlockId) -> tuple[CharLabel, ...]:
     """Labels of the alternating-cover non-spin block: one label per
     conjugation orbit {lam, lam*}, split into a pair when lam = lam*."""
     out = set()
-    for lam in partitions_of(block.n):
-        if ordinary_decompose(lam, block.p).core != block.kappa:
-            continue
+    for lam in _members(_ORDINARY, block.kappa.parts, block.p, block.w):
         if lam.is_self_conjugate():
             out.update(classify(lam, ATILDE, NONSPIN))
         else:

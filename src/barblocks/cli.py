@@ -17,7 +17,6 @@ from .blocks import (
     SpinBlockId,
     bar_cores,
     spin_block_members,
-    strict_partitions_of,
     verify,
 )
 from .characters import ATILDE, STILDE, height_and_defect
@@ -149,17 +148,16 @@ def _cmd_pairs(args) -> int:
 
 
 def _spin_blocks_of(n: int, p: int, group: str):
-    seen = {}
-    for lam in strict_partitions_of(n):
-        dec = bar_decompose(lam, p)
-        key = dec.core
-        seen.setdefault(key, dec.weight)
-    for kappa in sorted(seen, key=lambda k: (k.size, k.parts)):
-        yield SpinBlockId(kappa, seen[kappa], group, p)
+    """The blocks of degree n: one for each p-bar core kappa with p | n - |kappa|."""
+    cores = [k for k in bar_cores(p, n) if (n - k.size) % p == 0]
+    for kappa in sorted(cores, key=lambda k: (k.size, k.parts)):
+        yield SpinBlockId(kappa, (n - kappa.size) // p, group, p)
 
 
 def _cmd_blocks(args) -> int:
     GaloisElement(args.p)  # raises "p must be an odd prime, got ..." for any other p
+    if args.n < 0:
+        raise ValueError("n must be non-negative")
     spin = args.group in (STILDE, ATILDE)
     if spin:
         blocks = _spin_blocks_of(args.n, args.p, args.group)

@@ -11,7 +11,6 @@ which add across the two factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .characters import (
     ATILDE,
@@ -25,8 +24,8 @@ from .characters import (
     spin_degree_valuation,
 )
 from .galois import GaloisElement, tau_i, tau_partition
-from .littlewood import bar_decompose, bar_reconstruct
-from .partitions import BarPartition, enumerate_partitions
+from .littlewood import _BAR, _checked, _members, bar_decompose, bar_reconstruct
+from .partitions import BarPartition
 
 G = "g"
 GPLUS = "gplus"
@@ -109,16 +108,12 @@ def tau_g(label: GCharLabel, f: GaloisElement) -> int:
     return t
 
 
-@lru_cache(maxsize=None)
 def cocores(w: int, p: int) -> tuple[BarPartition, ...]:
-    """Strict partitions of p*w with empty p-bar core, descending order."""
+    """Strict partitions of p*w with empty p-bar core, descending order: the
+    reconstructions over the empty core of every bar quotient of weight w."""
     if w < 0:
         raise ValueError("w must be non-negative")
-    return tuple(
-        lam
-        for lam in enumerate_partitions(p * w, "strict")
-        if not bar_decompose(lam, p).core
-    )
+    return _members(_BAR, *_checked(_BAR, (), p), w)[::-1]
 
 
 def block_members(block: GBlockId) -> tuple[GCharLabel, ...]:

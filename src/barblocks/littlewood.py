@@ -21,6 +21,11 @@ vanish when the shifts are reapplied, which makes ``length == core.length +
 cocore.length - 2*d`` exact (for a self-conjugate partition, the same identity
 of Durfee sizes).  The runners counted for d are those whose beads pair up on
 a cocore: all runners for bar, one of each pair {j, p-1-j} for ordinary.
+
+Blocks run the engine backwards.  ``_members`` lists the labels with a given
+core and weight by reconstructing every quotient of that weight, and
+``_bar_cores`` lists the t-bar cores as the cores of the characteristic
+vectors within a size budget.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .abacus import _shift
-from .partitions import BarPartition, Partition, _frobenius, _from_frobenius
+from .partitions import BarPartition, Partition, _frobenius, _from_frobenius, _partitions_of
 
 
 class _Record:
@@ -200,6 +205,66 @@ def _reconstruct(layout: _Layout, core, quotient, m: int):
         _shift(*_frobenius(q.parts), c) for c, q in zip(dec.charvec, quotient[layout.head:])
     ]
     return layout.label(_label_parts(layout, runner0, runners, m))
+
+
+@lru_cache(maxsize=None)
+def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
+    """Every label with the m-core ``core`` (validated by the caller) and
+    weight w, in ascending order of parts: the reconstruction of every
+    quotient of total weight w, whose head component is strict."""
+    charvec = _decompose(layout, core, m).charvec
+    # columns[k][s]: the values component k can take at size s, as runner-0
+    # slots for the head and as shifted runners for the fenced runners
+    columns = [
+        [[_shift(*_frobenius(q.parts), c) for q in _partitions_of(s, "all")] for s in range(w + 1)]
+        for c in charvec
+    ]
+    if layout.head:
+        columns.insert(0, [[q.parts for q in _partitions_of(s, "strict")] for s in range(w + 1)])
+    labels = []
+
+    def fill(k, left, picked):
+        if k == len(columns) - 1:
+            runner0 = picked[0] if layout.head else ()
+            for value in columns[k][left]:
+                runners = picked[layout.head:] + [value]
+                labels.append(layout.label(_label_parts(layout, runner0, runners, m)))
+            return
+        for size in range(left + 1):
+            for value in columns[k][size]:
+                fill(k + 1, left - size, picked + [value])
+
+    fill(0, w, [])
+    return tuple(sorted(labels, key=lambda lam: lam.parts))
+
+
+def _bar_cores(t: int, max_size: int) -> list[tuple[int, ...]]:
+    """The parts of every t-bar core of size at most max_size.  A t-bar core
+    is the core of its characteristic vector c: runner j holds c_j beads on
+    residue r = j+1, or -c_j on residue t-r, and so has size
+    |c_j| * (r or t-r) + t * |c_j| * (|c_j| - 1) / 2."""
+    options = []
+    for j in range((t - 1) // 2):
+        runner = [(0, 0)]
+        for sign, residue in ((1, j + 1), (-1, t - j - 1)):
+            k = 1
+            while k * residue + t * k * (k - 1) // 2 <= max_size:
+                runner.append((sign * k, k * residue + t * k * (k - 1) // 2))
+                k += 1
+        options.append(runner)
+    cores = []
+
+    def fill(j, left, charvec):
+        if j == len(options):
+            runners = [_shift((), (), c) for c in charvec]
+            cores.append(_label_parts(_BAR, (), runners, t))
+            return
+        for c, size in options[j]:
+            if size <= left:
+                fill(j + 1, left - size, charvec + [c])
+
+    fill(0, max_size, [])
+    return cores
 
 
 def _pairs(layout: _Layout, lam, m: int) -> tuple[tuple[int, int], ...]:

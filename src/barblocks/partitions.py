@@ -7,6 +7,7 @@ be shared freely between threads and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -229,6 +230,12 @@ def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
         yield from found
     else:
         raise ValueError(f"unknown kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _partitions_of(n: int, kind: str) -> tuple[Partition, ...]:
+    """The partitions of enumerate_partitions(n, kind), memoized as a tuple."""
+    return tuple(enumerate_partitions(n, kind))
 
 
 def parse_partition(text: str, strict: bool = False) -> Partition:

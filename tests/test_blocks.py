@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 
 import pytest
@@ -19,10 +22,23 @@ from barblocks.blocks import (
     spin_block_members,
     verify,
 )
-from barblocks.characters import ATILDE, STILDE, WHOLE, classify, height_and_defect
+from barblocks.characters import (
+    ATILDE,
+    NONSPIN,
+    SPIN,
+    STILDE,
+    WHOLE,
+    CharLabel,
+    classify,
+    height_and_defect,
+)
+from barblocks.cli import _spin_blocks_of, main
 from barblocks.galois import GaloisElement, standard_generators, tau_partition
+from barblocks.humphreys import cocores
 from barblocks.littlewood import bar_decompose, ordinary_decompose
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
+
+from oracles import bar_core_by_removal, p_core_by_hook_removal
 
 
 def test_spin_block_id_validation():
@@ -364,3 +380,140 @@ def test_tau_matching_hypothesis_reported():
     lmap = psi(SpinBlockId(k1, 1, STILDE, p), k2)
     report = equivariance_check(lmap, standard_generators(p))
     assert any("matching=True" in note for note in report.notes)
+
+
+def _filtered(n, p):
+    """Blocks of degree n by the independent route: every strict (ordinary)
+    partition of n, grouped by its core found by removal moves."""
+    spin, ordinary = {}, {}
+    for lam in enumerate_partitions(n, "strict"):
+        spin.setdefault(bar_core_by_removal(lam, p), set()).add(lam)
+    for lam in enumerate_partitions(n, "all"):
+        ordinary.setdefault(p_core_by_hook_removal(lam, p), set()).add(lam)
+    return spin, ordinary
+
+
+def _orbit_labels(lams):
+    out = set()
+    for lam in lams:
+        if lam.is_self_conjugate():
+            out.update(classify(lam, ATILDE, NONSPIN))
+        else:
+            star = lam.conjugate()
+            rep = lam if lam.parts >= star.parts else star
+            out.add(CharLabel(rep, ATILDE, NONSPIN, WHOLE))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_membership_matches_filtering_by_removal(p):
+    """Block lists, members, cocores and bar cores against filtering every
+    partition of n <= 16 by the cores of tests/oracles.py."""
+    cores_seen = set()
+    for n in range(17):
+        spin, ordinary = _filtered(n, p)
+        cores_seen.update(spin)
+        blocks_of = [(b.kappa, b.w) for b in _spin_blocks_of(n, p, STILDE)]
+        assert blocks_of == sorted(
+            ((k, (n - k.size) // p) for k in spin), key=lambda b: (b[0].size, b[0].parts)
+        )
+        for kappa, lams in spin.items():
+            w = (n - kappa.size) // p
+            for group in (STILDE, ATILDE):
+                members = spin_block_members(SpinBlockId(kappa, w, group, p))
+                expected = sorted(
+                    (x for lam in lams for x in classify(lam, group, SPIN)),
+                    key=CharLabel.sort_key,
+                )
+                assert list(members) == expected
+        if n % p == 0:
+            want = sorted(spin.get(BarPartition(), ()), key=lambda lam: lam.parts, reverse=True)
+            assert list(cocores(n // p, p)) == want
+        for kappa, lams in ordinary.items():
+            if kappa.is_self_conjugate():
+                block = NonSpinBlockId(kappa, (n - kappa.size) // p, p)
+                expected = sorted(_orbit_labels(lams), key=CharLabel.sort_key)
+                assert list(nonspin_block_members(block)) == expected
+    assert list(bar_cores(p, 16)) == sorted(cores_seen, key=lambda k: (k.size, [-x for x in k]))
+
+
+def _series(n_max, factors):
+    """Coefficients up to x^n_max of the product of 1/(1 - x^i)^k over the
+    (i, k) in factors, by repeated multiplication with a geometric series."""
+    coeffs = [1] + [0] * n_max
+    for i, k in factors:
+        for _ in range(k):
+            for n in range(i, n_max + 1):
+                coeffs[n] += coeffs[n - i]
+    return coeffs
+
+
+def _strict_counts(n_max):
+    """q(n), the number of strict partitions of n: the coefficients of the
+    product of (1 + x^i), built without the library's enumerator."""
+    coeffs = [1] + [0] * n_max
+    for i in range(1, n_max + 1):
+        for n in range(n_max, i - 1, -1):
+            coeffs[n] += coeffs[n - i]
+    return coeffs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_block_sizes_match_generating_functions(p):
+    """Bar members of weight w number sum_{a+b=w} q(a) P_{(p-1)/2}(b), and
+    ordinary members P_p(w), where P_k(b) is the coefficient of x^b in the
+    product of (1 - x^i)^(-k)."""
+    w_max = 6
+    q = _strict_counts(w_max)
+    bar_runners = _series(w_max, [(i, (p - 1) // 2) for i in range(1, w_max + 1)])
+    ordinary = _series(w_max, [(i, p) for i in range(1, w_max + 1)])
+    for kappa in bar_cores(p, 10):
+        for w in range(w_max + 1):
+            members = spin_block_members(SpinBlockId(kappa, w, STILDE, p))
+            lams = {label.partition for label in members}
+            assert len(lams) == sum(q[a] * bar_runners[w - a] for a in range(w + 1))
+    for w in range(1, w_max + 1):
+        assert len(cocores(w, p)) == sum(q[a] * bar_runners[w - a] for a in range(w + 1))
+    for kappa in selfconjugate_cores(p, 10):
+        for w in range(w_max + 1):
+            labels = nonspin_block_members(NonSpinBlockId(kappa, w, p))
+            # an orbit {lam, lam*} of two partitions is one whole label, and
+            # a self-conjugate lam is a plus/minus pair
+            whole = sum(label.variant == WHOLE for label in labels)
+            lams = 2 * whole + (len(labels) - whole) // 2
+            assert lams == ordinary[w]
+
+
+def _cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue()
+
+
+def _golden_outputs():
+    """Exit code and stdout of every block listing at p <= 7, n <= 14, and
+    of the six block suites at p <= 5, bound 10, with their JSON output."""
+    for p in (3, 5, 7):
+        for group in (STILDE, ATILDE, "g", "gplus"):
+            for n in range(15):
+                argv = ("blocks", "--p", p, "--n", n, "--group", group, "--json")
+                yield [list(map(str, argv)), *_cli_stdout(*argv)]
+    for p in (3, 5):
+        for suite in ("blocks", "census", "psi", "crossing", "crossing_fails", "psi_nonspin"):
+            argv = ("verify", suite, "--p", p, "--max-n", 10, "--json")
+            yield [list(map(str, argv)), *_cli_stdout(*argv)]
+
+
+# sha256 over the 192 outputs of _golden_outputs(), one JSON line each, read
+# from the implementation that found block members by filtering all
+# partitions of n
+GOLDEN_DIGEST = "fe2e8cbd465ead164313973a1aa9bcaa9915a697cef4db9b7115c4083ff0d68c"
+
+
+def test_golden_digest_of_block_outputs():
+    digest, count = hashlib.sha256(), 0
+    for rec in _golden_outputs():
+        digest.update(json.dumps(rec).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (192, GOLDEN_DIGEST)

@@ -189,6 +189,12 @@ def test_blocks_refuses_p_that_is_not_prime(capsys):
         assert (code, out, err) == (2, "", "error: p must be an odd prime, got 9\n")
 
 
+def test_blocks_refuses_negative_n(capsys):
+    for group in ("stilde", "atilde", "g", "gplus"):
+        code, out, err = run(capsys, "blocks", "--p", "3", "--n", "-1", "--group", group)
+        assert (code, out, err) == (2, "", "error: n must be non-negative\n")
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
