@@ -22,10 +22,12 @@ for one of two runners:
   the map, the block members and the extra witness fields) with the relation
   between source and target cores and the groups to map.
 
-``little``, ``blocks``, ``census`` and ``crossing_fails`` are plain functions
-in the same table.  Every domain is walked in a fixed order and every witness
-is a dict whose keys and key order are part of the report, so reports are
-byte-stable.  Witnesses are built only when a check fails.
+``little``, ``tau_oracle``, ``blocks``, ``census`` and ``crossing_fails`` are
+plain functions in the same table; ``little`` and ``tau_oracle`` prepare what
+every element shares once per sweep and then run ``_sweep``.  Every domain is
+walked in a fixed order and every witness is a dict whose keys and key order
+are part of the report, so reports are byte-stable.  Witnesses are built only
+when a check fails.
 
 Library functions are looked up by their module-global names when they are
 called, never stored in the table at import time.  A wrapper that rebinds such
@@ -441,14 +443,18 @@ def _pairing(lam, p, fs):
     return 1, found
 
 
-def _tau_oracle(m, p, fs):
+def _suite_tau_oracle(p, bound, fs, w_max):
     elements = [GaloisElement(p, e, s) for e in (0, 1, 2) for s in range(1, p)]
-    found = []
-    for f in elements:
-        closed, exact = tau_sqrt(m, f), oracle_tau_sqrt(m, f)
-        if closed != exact:
-            found.append({"m": m, "f": f.to_json(), "closed": closed, "oracle": exact})
-    return len(elements), found
+
+    def check(m, p, fs):
+        found = []
+        for f in elements:
+            closed, exact = tau_sqrt(m, f), oracle_tau_sqrt(m, f)
+            if closed != exact:
+                found.append({"m": m, "f": f.to_json(), "closed": closed, "oracle": exact})
+        return len(elements), found
+
+    return _sweep(_m_upto, check)(p, bound, fs, w_max)
 
 
 def _suite_little(p, bound, fs, w_max):
@@ -718,7 +724,7 @@ SUITES = {
     "signs": _sweep(_strict_upto, _signs),
     "sizes": _sweep(_strict_upto, _sizes),
     "pairing": _sweep(_strict_upto, _pairing),
-    "tau_oracle": _sweep(_m_upto, _tau_oracle),
+    "tau_oracle": _suite_tau_oracle,
     "little": _suite_little,
     "phi": _sweep(_strict_upto, _phi, gens=True),
     "valuation": _sweep(_strict_upto, _valuation),

@@ -18,6 +18,14 @@ Two independent evaluation routes are provided:
 
 The oracle never consults the Jacobi-symbol formulas; agreement of the two
 routes is the keystone correctness check of this module.
+
+An automorphism acts on Z[zeta_q] only through the exponent c it induces
+there (s mod q when q = p, p**e mod q otherwise), and on Z[zeta_8] through
+p**e mod 8.  So the oracle makes each exact comparison once per field and
+exponent, (q, c) for the Gauss sum at q and c for i and sqrt(2), and memoizes
+the resulting sign.  The key is c itself, never its Legendre symbol: that
+symbol is what the closed forms compute, and keying by it would make the
+oracle depend on them.
 """
 
 from __future__ import annotations
@@ -50,14 +58,35 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly for every
+# n below this limit (Sorenson and Webster, Math. Comp. 86 (2017)).
+_PRIME_CHECK_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= _PRIME_CHECK_LIMIT:
+        raise ValueError(
+            f"p must be below {_PRIME_CHECK_LIMIT} to be checked for primality, got {p}"
+        )
+    if p in _PRIME_BASES:
+        return True
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -311,26 +340,38 @@ def _scaling_sign(vec: list[int], n: int, c: int, canon) -> int:
     raise ArithmeticError("automorphism does not scale this element by a sign")
 
 
+# i = zeta_8^2 and sqrt(2) = zeta_8 + zeta_8^-1
+_ZETA8 = {"i": (0, 0, 1, 0, 0, 0, 0, 0), "sqrt2": (0, 1, 0, 0, 0, 0, 0, 1)}
+
+
+@lru_cache(maxsize=None)
+def _zeta8_sign(name: str, c: int) -> int:
+    """Sign by which zeta_8 -> zeta_8**c scales the element ``name``."""
+    return _scaling_sign(list(_ZETA8[name]), 8, c, _canon8)
+
+
 def oracle_tau_i(f: GaloisElement) -> int:
-    vec = [0] * 8
-    vec[2] = 1  # i = zeta_8^2
-    return _scaling_sign(vec, 8, pow(f.p, f.e, 8), _canon8)
+    return _zeta8_sign("i", pow(f.p, f.e, 8))
 
 
 def oracle_tau_sqrt2(f: GaloisElement) -> int:
-    vec = [0] * 8
-    vec[1] = 1
-    vec[7] = 1  # sqrt(2) = zeta_8 + zeta_8^-1
-    return _scaling_sign(vec, 8, pow(f.p, f.e, 8), _canon8)
+    return _zeta8_sign("sqrt2", pow(f.p, f.e, 8))
 
 
-def _oracle_tau_gauss(q: int, f: GaloisElement) -> int:
-    """Sign by which f scales the quadratic Gauss sum at the odd prime q."""
+@lru_cache(maxsize=None)
+def _gauss_sign(q: int, c: int) -> int:
+    """Sign by which zeta_q -> zeta_q**c scales the quadratic Gauss sum at
+    the odd prime q."""
     vec = [0] * q
     for a in range(1, q):
         vec[a] = _legendre_euler(a, q)
-    c = f.s % q if q == f.p else pow(f.p, f.e, q)
     return _scaling_sign(vec, q, c, lambda v: _canon_prime(v, q))
+
+
+def _oracle_tau_gauss(q: int, f: GaloisElement) -> int:
+    """Sign by which f scales the quadratic Gauss sum at the odd prime q: f
+    acts on Z[zeta_q] only through the exponent it induces there."""
+    return _gauss_sign(q, f.s % q if q == f.p else pow(f.p, f.e, q))
 
 
 def oracle_tau_sqrt(m: int, f: GaloisElement, bound: int = ORACLE_MAX_M) -> int:

@@ -207,6 +207,32 @@ def _reconstruct(layout: _Layout, core, quotient, m: int):
     return layout.label(_label_parts(layout, runner0, runners, m))
 
 
+def _depth_first(count: int, choices, budget: int):
+    """Every way to pick one value at each of the positions 0..count-1, in
+    depth-first order, with the budget left after the picks: choices(k, left)
+    lists the (budget left after, value) pairs open at position k.  Yields
+    (picked, left), where picked is one list that the walk goes on to change.
+    Iterative, so count is not bounded by the recursion limit."""
+    picked = []
+    if not count:
+        yield picked, budget
+        return
+    stack = [iter(choices(0, budget))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if picked:
+                picked.pop()
+            continue
+        picked.append(step[1])
+        if len(stack) == count:
+            yield picked, step[0]
+            picked.pop()
+        else:
+            stack.append(iter(choices(len(stack), step[0])))
+
+
 @lru_cache(maxsize=None)
 def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
     """Every label with the m-core ``core`` (validated by the caller) and
@@ -221,20 +247,19 @@ def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
     ]
     if layout.head:
         columns.insert(0, [[q.parts for q in _partitions_of(s, "strict")] for s in range(w + 1)])
+    last = len(columns) - 1
+    # choices[k][left]: the (left after, value) pairs open to component k < last
+    choices = [
+        [[(left - s, value) for s in range(left + 1) for value in column[s]]
+         for left in range(w + 1)]
+        for column in columns[:last]
+    ]
     labels = []
-
-    def fill(k, left, picked):
-        if k == len(columns) - 1:
-            runner0 = picked[0] if layout.head else ()
-            for value in columns[k][left]:
-                runners = picked[layout.head:] + [value]
-                labels.append(layout.label(_label_parts(layout, runner0, runners, m)))
-            return
-        for size in range(left + 1):
-            for value in columns[k][size]:
-                fill(k + 1, left - size, picked + [value])
-
-    fill(0, w, [])
+    for picked, left in _depth_first(last, lambda k, left: choices[k][left], w):
+        runner0 = picked[0] if layout.head else ()
+        for value in columns[last][left]:
+            runners = picked[layout.head:] + [value]
+            labels.append(layout.label(_label_parts(layout, runner0, runners, m)))
     return tuple(sorted(labels, key=lambda lam: lam.parts))
 
 
@@ -252,18 +277,16 @@ def _bar_cores(t: int, max_size: int) -> list[tuple[int, ...]]:
                 runner.append((sign * k, k * residue + t * k * (k - 1) // 2))
                 k += 1
         options.append(runner)
+
+    def choices(j, left):
+        return [(left - size, c) for c, size in options[j] if size <= left]
+
     cores = []
-
-    def fill(j, left, charvec):
-        if j == len(options):
-            runners = [_shift((), (), c) for c in charvec]
-            cores.append(_label_parts(_BAR, (), runners, t))
-            return
-        for c, size in options[j]:
+    for charvec, left in _depth_first(len(options) - 1, choices, max_size):
+        for c, size in options[-1]:
             if size <= left:
-                fill(j + 1, left - size, charvec + [c])
-
-    fill(0, max_size, [])
+                runners = [_shift((), (), x) for x in charvec + [c]]
+                cores.append(_label_parts(_BAR, (), runners, t))
     return cores
 
 

@@ -312,6 +312,11 @@ def _extra_part(kind):
     return lambda lam: kind((1000,) + lam.parts)
 
 
+def _flip_oracle_at(m_bad):
+    real = blocks.oracle_tau_sqrt
+    return "oracle_tau_sqrt", lambda m, *args: (-1 if m == m_bad else 1) * real(m, *args)
+
+
 # Each suite sees a doctored library function through the name it calls;
 # a suite that held the function itself would not see the change.
 WITNESS_CASES = [
@@ -347,6 +352,10 @@ WITNESS_CASES = [
     (
         "psi_nonspin", 5, _doctored("ordinary_reconstruct", _extra_part(Partition)),
         {"kappa": [], "kappa2": [1], "w": 1, "reason": "not a bijection onto the target block"},
+    ),
+    (
+        "tau_oracle", 4, _flip_oracle_at(2),
+        {"m": 2, "f": {"p": 3, "e": 0, "s": 1}, "closed": 1, "oracle": -1},
     ),
 ]
 
@@ -517,3 +526,21 @@ def test_golden_digest_of_block_outputs():
         digest.update(json.dumps(rec).encode() + b"\n")
         count += 1
     assert (count, digest.hexdigest()) == (192, GOLDEN_DIGEST)
+
+
+def test_bar_cores_at_a_large_prime():
+    """Below t every strict partition is a t-bar core; the walk over the
+    (t-1)/2 runners must not recurse once per runner."""
+    expected = tuple(
+        lam for n in range(7) for lam in sorted(enumerate_partitions(n, "strict"), reverse=True)
+    )
+    assert bar_cores(1997, 6) == expected
+
+
+def test_nonspin_members_at_a_large_prime_are_the_hooks():
+    p = 1009
+    members = nonspin_block_members(NonSpinBlockId(Partition([]), 1, p))
+    hooks = {Partition([p - k] + [1] * k) for k in range(p)}
+    found = {label.partition for label in members}
+    assert found | {lam.conjugate() for lam in found} == hooks
+    assert len(members) == (p - 1) // 2 + 2  # one label per conjugate pair, two for (505, 1^504)

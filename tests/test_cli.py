@@ -216,6 +216,28 @@ def test_huge_parts_answer_fast(capsys, argv, expected):
     assert elapsed < 2.0
 
 
+def test_tau_at_a_huge_prime_answers_fast(capsys):
+    start = perf_counter()
+    code, out, _ = run(capsys, "tau", "--p", "1000000000000000003", "5,1")
+    assert (code, out) == (0, "-1\n")
+    assert perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("blocks", "--p", "1997", "--n", "5", "--group", "stilde"),
+        ("blocks", "--p", "1997", "--n", "5", "--group", "g"),
+    ],
+)
+def test_large_primes_answer_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "Traceback" not in out + err
+    if argv[-1] == "stilde":
+        assert out.startswith("block kappa=[3,2] w=0 group=stilde defect=0\n")
+
+
 def test_determinism(capsys):
     first = run(capsys, "blocks", "--p", "3", "--n", "7", "--group", "atilde")
     second = run(capsys, "blocks", "--p", "3", "--n", "7", "--group", "atilde")

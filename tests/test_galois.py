@@ -1,5 +1,6 @@
 import pytest
 
+from barblocks import galois
 from barblocks.galois import (
     GaloisElement,
     SurdValue,
@@ -132,6 +133,47 @@ def test_oracle_agreement_sample():
                 for s in (1, p - 1):
                     f = GaloisElement(p, e, s)
                     assert tau_sqrt(m, f) == oracle_tau_sqrt(m, f), (m, p, e, s)
+
+
+def test_oracle_is_independent_of_closed_forms_and_call_order(monkeypatch):
+    """The oracle agrees with the closed forms, and gives the same signs again
+    with every galois memo cleared, the closed forms unavailable and the
+    questions asked in reverse order."""
+    questions = [
+        (m, GaloisElement(p, e, s))
+        for p in (3, 5, 7, 11, 13)
+        for e in (0, 1, 2)
+        for s in range(1, p)
+        for m in range(1, 201)
+    ]
+    forward = [oracle_tau_sqrt(m, f) for m, f in questions]
+    assert forward == [tau_sqrt(m, f) for m, f in questions]
+
+    for obj in vars(galois).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+    def closed_form(*_args):
+        raise AssertionError("the oracle must not use the closed forms")
+
+    for name in ("jacobi", "tau_sqrt", "tau_i", "tau_sqrt2"):
+        monkeypatch.setattr(galois, name, closed_form)
+    backward = [oracle_tau_sqrt(m, f) for m, f in reversed(questions)]
+    assert backward[::-1] == forward
+
+
+def test_prime_check_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, int(n**0.5) + 1, 2))
+
+    for n in range(-2, 30000):
+        assert galois._is_odd_prime(n) == by_trial_division(n), n
+    # strong pseudoprimes to the prime bases up to 37 and up to 23, and a prime
+    assert not galois._is_odd_prime(318665857834031151167461)
+    assert not galois._is_odd_prime(3825123056546413051)
+    assert galois._is_odd_prime(2**61 - 1)
+    with pytest.raises(ValueError, match="checked for primality"):
+        GaloisElement(3317044064679887385961981)
 
 
 def test_diff_values():
