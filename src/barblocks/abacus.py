@@ -125,12 +125,6 @@ class FencedRunner:
         fs = p.frobenius()
         return cls(frozenset(fs.arms), frozenset(fs.legs))
 
-    @classmethod
-    def reference(cls, m: int) -> "FencedRunner":
-        """Runner with the first m above slots blackened (m > 0) or the
-        first -m below slots whitened (m < 0)."""
-        return cls().shift(m)
-
     def to_json(self) -> dict:
         return {"above": sorted(self.black_above), "below": sorted(self.white_below)}
 
@@ -140,7 +134,9 @@ class FencedRunner:
 
 
 def reference_runner(m: int) -> FencedRunner:
-    return FencedRunner.reference(m)
+    """Runner with the first m above slots blackened (m > 0) or the first -m
+    below slots whitened (m < 0)."""
+    return FencedRunner().shift(m)
 
 
 def _check_t(t: int) -> int:

@@ -12,15 +12,15 @@ with p | n - |kappa|, and bar_cores builds the cores from their
 characteristic vectors.
 
 The suites form one table, SUITES, from a name to a function
-(p, bound, fs, w_max) -> (cases, violations, notes).  Most entries are data
+(p, bound, w_max) -> (cases, violations, notes).  Most entries are data
 for one of two runners:
 
 * ``_sweep`` pairs a domain (the strict partitions up to the bound, the
   self-conjugate ones, or m in 1..bound) with a check of one element that
   returns (cases, witnesses);
-* ``_replace_cores`` pairs a side (spin or non-spin: its cores, their tau,
-  the map, the block members and the extra witness fields) with the relation
-  between source and target cores and the groups to map.
+* ``_replace_cores`` pairs a side (spin or non-spin: its cores, the map, the
+  block members and the extra witness fields) with the relation between
+  source and target cores and the groups to map.
 
 ``little``, ``tau_oracle``, ``blocks``, ``census`` and ``crossing_fails`` are
 plain functions in the same table; ``little`` and ``tau_oracle`` prepare what
@@ -298,6 +298,14 @@ def _tau_of(label, f: GaloisElement) -> int:
     return label_tau(label, f)
 
 
+def _core_tau(kappa, f: GaloisElement) -> int:
+    """Sign of f on the pair labeled by a core: a bar core or a
+    self-conjugate one."""
+    if isinstance(kappa, BarPartition):
+        return tau_partition(kappa, f)
+    return tau_selfconjugate(kappa, f)
+
+
 def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     """Compare the permutation sign of every automorphism on each associate
     pair with the sign on its image; self-associate labels must map to
@@ -335,16 +343,7 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     dst_core = getattr(lmap.target, "kappa", None)
     if src_core is not None and dst_core is not None:
         sigma = GaloisElement.sigma(p)
-        t1 = (
-            tau_partition(src_core, sigma)
-            if isinstance(src_core, BarPartition)
-            else tau_selfconjugate(src_core, sigma)
-        )
-        t2 = (
-            tau_partition(dst_core, sigma)
-            if isinstance(dst_core, BarPartition)
-            else tau_selfconjugate(dst_core, sigma)
-        )
+        t1, t2 = _core_tau(src_core, sigma), _core_tau(dst_core, sigma)
         notes.append(f"core tau under sigma_p: source {t1}, target {t2}, matching={t1 == t2}")
     return VerificationReport("equivariance", p, 0, cases, tuple(violations), tuple(notes))
 
@@ -364,13 +363,13 @@ def _m_upto(bound: int):
 
 
 def _sweep(domain, check, gens=False):
-    """The suite that runs check(x, p, fs) -> (cases, witnesses) on every x
-    of domain(bound).  With gens, a missing fs becomes the standard
-    generators of p; only the checks that read fs ask for them."""
+    """The suite (p, bound, w_max) that runs check(x, p, fs) -> (cases,
+    witnesses) on every x of domain(bound).  With gens, fs is the standard
+    generators of p, built once per sweep; otherwise it is None, so that a
+    check that reads no generators costs none at a large p."""
 
-    def run(p, bound, fs, w_max):
-        if gens:
-            fs = tuple(fs or standard_generators(p))
+    def run(p, bound, w_max):
+        fs = standard_generators(p) if gens else None
         cases, violations = 0, []
         for x in domain(bound):
             n, found = check(x, p, fs)
@@ -443,7 +442,7 @@ def _pairing(lam, p, fs):
     return 1, found
 
 
-def _suite_tau_oracle(p, bound, fs, w_max):
+def _suite_tau_oracle(p, bound, w_max):
     elements = [GaloisElement(p, e, s) for e in (0, 1, 2) for s in range(1, p)]
 
     def check(m, p, fs):
@@ -454,12 +453,12 @@ def _suite_tau_oracle(p, bound, fs, w_max):
                 found.append({"m": m, "f": f.to_json(), "closed": closed, "oracle": exact})
         return len(elements), found
 
-    return _sweep(_m_upto, check)(p, bound, fs, w_max)
+    return _sweep(_m_upto, check)(p, bound, w_max)
 
 
-def _suite_little(p, bound, fs, w_max):
+def _suite_little(p, bound, w_max):
     sigma = GaloisElement.sigma(p)
-    trivial = [f for f in (fs or standard_generators(p)) if f.e == 0]
+    trivial = [f for f in standard_generators(p) if f.e == 0]
     eps = -1 if p % 4 == 3 else 1
     counts = {"i": 0, "ii": 0, "iii": 0}
 
@@ -482,7 +481,7 @@ def _suite_little(p, bound, fs, w_max):
                 found.append(_witness(lam, case="iii", f=f.to_json()))
         return 1 + len(trivial), found
 
-    cases, violations, _ = _sweep(_strict_upto, check)(p, bound, fs, w_max)
+    cases, violations, _ = _sweep(_strict_upto, check)(p, bound, w_max)
     notes = [f"case_i={counts['i']}", f"case_ii={counts['ii']}", f"case_iii={counts['iii']}"]
     return cases, violations, notes
 
@@ -529,7 +528,7 @@ def _tau_nonspin(lam, p, fs):
     return len(fs), found
 
 
-def _suite_blocks(p, bound, fs, w_max):
+def _suite_blocks(p, bound, w_max):
     violations = []
     cases = 0
     baseline = {}
@@ -588,7 +587,7 @@ def _suite_blocks(p, bound, fs, w_max):
     return cases, violations, []
 
 
-def _suite_census(p, bound, fs, w_max):
+def _suite_census(p, bound, w_max):
     violations = []
     cases = 0
     for kappa in bar_cores(p, bound):
@@ -637,7 +636,6 @@ class _Side:
     library function up by its module-global name."""
 
     cores: Callable  # (p, bound) -> the cores, in sweep order
-    tau: Callable  # (core, f) -> sign
     replace: Callable  # (k1, k2, w, group, p, allow_reversed) -> LabelMap
     members: Callable  # block -> its member labels
     extra: Callable  # (k2, violation, p) -> extra fields of an equivariance witness
@@ -645,7 +643,6 @@ class _Side:
 
 _SPIN = _Side(
     cores=lambda p, bound: bar_cores(p, bound),
-    tau=lambda kappa, f: tau_partition(kappa, f),
     replace=lambda k1, k2, w, group, p, rev: psi(SpinBlockId(k1, w, group, p), k2, rev),
     members=lambda block: spin_block_members(block),
     extra=lambda k2, v, p: {
@@ -655,25 +652,24 @@ _SPIN = _Side(
 )
 _NONSPIN = _Side(
     cores=lambda p, bound: selfconjugate_cores(p, bound),
-    tau=lambda kappa, f: tau_selfconjugate(kappa, f),
     replace=lambda k1, k2, w, group, p, rev: nonspin_psi(k1, k2, w, p),
     members=lambda block: nonspin_block_members(block),
     extra=lambda k2, v, p: {},
 )
 
 
-def _replace_cores(p, bound, fs, w_max, side, related, groups, allow_reversed=False):
+def _replace_cores(p, bound, w_max, side, related, groups, allow_reversed=False):
     """Map every block over k1 to the block over k2, for each pair of distinct
     related cores with matching sigma_p tau, and check that the map is a
     bijection, Galois-equivariant and, unless reversed, height-preserving.
     A group of None marks the non-spin blocks, whose witnesses carry none."""
-    fs = tuple(fs or standard_generators(p))
+    fs = standard_generators(p)
     sigma = GaloisElement.sigma(p)
     cores = side.cores(p, bound)
     cases, violations = 0, []
     for k1 in cores:
         for k2 in cores:
-            if not related(k1, k2) or side.tau(k1, sigma) != side.tau(k2, sigma):
+            if not related(k1, k2) or _core_tau(k1, sigma) != _core_tau(k2, sigma):
                 continue
             for w in range(1, w_max + 1):
                 for group in groups:
@@ -698,9 +694,9 @@ def _replace_cores(p, bound, fs, w_max, side, related, groups, allow_reversed=Fa
     return cases, violations, []
 
 
-def _suite_crossing_fails(p, bound, fs, w_max):
+def _suite_crossing_fails(p, bound, w_max):
     cases, violations, _ = _replace_cores(
-        p, bound, fs, w_max, _SPIN, _reversed_crossing, (STILDE,), allow_reversed=True
+        p, bound, w_max, _SPIN, _reversed_crossing, (STILDE,), allow_reversed=True
     )
     notes = [f"expected: violations iff p = 3 mod 4 (here p % 4 = {p % 4})"]
     return cases, violations, notes
@@ -739,7 +735,7 @@ SUITES = {
 }
 
 
-def verify(suite: str, p: int, bound: int, fs=None, w_max: int = 3) -> VerificationReport:
+def verify(suite: str, p: int, bound: int, w_max: int = 3) -> VerificationReport:
     """Run a named exhaustive suite up to the given size bound.
 
     The arguments are checked here, before any work: p must be an odd
@@ -754,5 +750,5 @@ def verify(suite: str, p: int, bound: int, fs=None, w_max: int = 3) -> Verificat
         raise ValueError(f"w_max must be at least 1, got {w_max}")
     if suite == "tau_oracle" and bound > ORACLE_MAX_M:
         raise ValueError(f"tau_oracle needs bound <= {ORACLE_MAX_M}, got {bound}")
-    cases, violations, notes = SUITES[suite](p, bound, fs, w_max)
+    cases, violations, notes = SUITES[suite](p, bound, w_max)
     return VerificationReport(suite, p, bound, cases, tuple(violations), tuple(notes))

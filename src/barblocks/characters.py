@@ -43,10 +43,6 @@ class CharLabel:
         if self.flavor == SPIN and not isinstance(self.partition, BarPartition):
             raise ValueError("spin labels need a strict partition")
 
-    @property
-    def is_pair_member(self) -> bool:
-        return self.variant != WHOLE
-
     def sort_key(self):
         return (self.partition.parts, _VARIANTS.index(self.variant))
 
@@ -80,13 +76,11 @@ def classify(partition: Partition, group: str, flavor: str = SPIN) -> tuple[Char
     if flavor == SPIN:
         lam = partition if isinstance(partition, BarPartition) else BarPartition(partition.parts)
         whole = lam.sign() == (1 if group == STILDE else -1)
-    elif flavor == NONSPIN:
+    else:  # CharLabel refuses any other flavor
         lam = partition
         # on the full group every label is self-associate; on the index-two
         # subgroup the self-conjugate partitions split
         whole = group == STILDE or not lam.is_self_conjugate()
-    else:
-        raise ValueError(f"flavor must be one of {_FLAVORS}")
     if whole:
         return (CharLabel(lam, group, flavor, WHOLE),)
     return (
@@ -139,48 +133,44 @@ def nu_p_factorial(n: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _spin_valuation(parts: tuple[int, ...], p: int) -> int:
-    lam = BarPartition(parts)
-    return nu_p_factorial(lam.size, p) - sum(nu_p(h, p) for h in bar_hook_lengths(lam) if h % p == 0)
-
-
-@lru_cache(maxsize=None)
-def _nonspin_valuation(parts: tuple[int, ...], p: int) -> int:
-    lam = Partition(parts)
-    return nu_p_factorial(lam.size, p) - sum(nu_p(h, p) for h in lam.hook_lengths() if h % p == 0)
+def _valuation(parts: tuple[int, ...], p: int, spin: bool) -> int:
+    """nu_p of n! over the product of the bar hook lengths (spin) or of the
+    hook lengths (non-spin) of the partition with these parts."""
+    hooks = bar_hook_lengths(BarPartition(parts)) if spin else Partition(parts).hook_lengths()
+    return nu_p_factorial(sum(parts), p) - sum(nu_p(h, p) for h in hooks if h % p == 0)
 
 
 def spin_degree_valuation(lam: BarPartition, p: int) -> int:
     """nu_p of the spin character degree of a strict partition."""
-    return _spin_valuation(lam.parts, p)
+    return _valuation(lam.parts, p, True)
 
 
 def nonspin_degree_valuation(lam: Partition, p: int) -> int:
     """nu_p of the ordinary character degree (hook length formula)."""
-    return _nonspin_valuation(lam.parts, p)
+    return _valuation(lam.parts, p, False)
 
 
 def degree_valuation(label: CharLabel, p: int) -> int:
     """nu_p of the character degree; identical for the two members of an
     associate pair since the index is 2 and p is odd."""
-    if label.flavor == SPIN:
-        return _spin_valuation(label.partition.parts, p)
-    return _nonspin_valuation(label.partition.parts, p)
+    return _valuation(label.partition.parts, p, label.flavor == SPIN)
+
+
+def _defect_and_heights(vals: dict, order_valuation) -> tuple:
+    """defect = nu_p(group order) - min valuation and height = valuation -
+    min valuation; order_valuation(label) reads the order off any member."""
+    if not vals:
+        raise ValueError("need at least one label")
+    low = min(vals.values())
+    defect = order_valuation(next(iter(vals))) - low
+    return defect, {label: v - low for label, v in vals.items()}
 
 
 def height_and_defect(members, n: int, p: int):
-    """Block defect and per-label heights from degree valuations alone.
-
-    defect = nu_p(n!) - min valuation; height = valuation - min valuation.
-    """
-    members = tuple(members)
-    if not members:
-        raise ValueError("need at least one label")
+    """Block defect and per-label heights from degree valuations alone; the
+    group-order valuation is nu_p(n!)."""
     vals = {label: degree_valuation(label, p) for label in members}
-    low = min(vals.values())
-    defect = nu_p_factorial(n, p) - low
-    heights = {label: v - low for label, v in vals.items()}
-    return defect, heights
+    return _defect_and_heights(vals, lambda label: nu_p_factorial(n, p))
 
 
 def label_tau(label: CharLabel, f: GaloisElement) -> int:

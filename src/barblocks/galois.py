@@ -154,42 +154,6 @@ def tau_sqrt2(f: GaloisElement) -> int:
     return jacobi(2, f.p) ** f.e
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def squarefree_part(n: int) -> int:
-    """Product of the primes dividing n to an odd power."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    out = 1
-    for q, k in _factorize(n).items():
-        if k % 2:
-            out *= q
-    return out
-
-
-def squarefree_of_product(xs: Iterable[int]) -> int:
-    parities: dict[int, int] = {}
-    for x in xs:
-        for q, k in _factorize(x).items():
-            parities[q] = (parities.get(q, 0) + k) % 2
-    out = 1
-    for q, k in parities.items():
-        if k:
-            out *= q
-    return out
-
-
 def tau_sqrt(m: int, f: GaloisElement) -> int:
     """Sign by which f scales sqrt(m), m a positive integer.
 
@@ -214,6 +178,95 @@ def tau_sqrt(m: int, f: GaloisElement) -> int:
     return sign
 
 
+def _tau_product(two_exp: int, i_exp: int, radicands: Iterable[int], f: GaloisElement) -> int:
+    """Sign by which f scales sqrt(2)**two_exp * i**i_exp * sqrt(prod radicands);
+    tau_sqrt is multiplicative and blind to squares, so nothing is factorized."""
+    sign = (tau_sqrt2(f) ** two_exp) * (tau_i(f) ** i_exp)
+    for m in radicands:
+        sign *= tau_sqrt(m, f)
+    return sign
+
+
+def tau_surd(v: SurdValue, f: GaloisElement) -> int:
+    return _tau_product(v.two_exp, v.i_exp, (v.radicand,), f)
+
+
+def _diff_exponents(n: int, k: int) -> tuple[int, int]:
+    """(two_exp, i_exp) of the difference value of a strict partition of n
+    into k parts."""
+    two_exp = (n - k) % 2
+    return two_exp, (n - k + two_exp) // 2
+
+
+@lru_cache(maxsize=None)
+def _tau_partition_cached(parts: tuple[int, ...], f: GaloisElement) -> int:
+    return _tau_product(*_diff_exponents(sum(parts), len(parts)), parts, f)
+
+
+def tau_partition(lam: BarPartition, f: GaloisElement) -> int:
+    """Sign by which f permutes the associate pair labeled by a strict
+    partition (+1 for the empty partition by convention)."""
+    if not isinstance(lam, BarPartition):
+        lam = BarPartition(lam)
+    return _tau_partition_cached(lam.parts, f)
+
+
+def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
+    if not lam.is_self_conjugate():
+        raise ValueError(f"{lam!r} is not self-conjugate")
+    return lam.diagonal_hooks()
+
+
+def tau_selfconjugate(lam: Partition, f: GaloisElement) -> int:
+    hooks = _selfconjugate_hooks(lam)
+    return _tau_product(0, (lam.size - len(hooks)) // 2, hooks, f)
+
+
+# ---------------------------------------------------------------------------
+# exact cyclotomic oracle
+#
+# Elements of Z[zeta_n] are held as integer coefficient vectors indexed by
+# exponents 0..n-1.  Applying an automorphism zeta -> zeta**c permutes the
+# exponents; equality of algebraic numbers is decided on canonical forms
+# modulo the cyclotomic polynomial (n = 8 or n an odd prime below).  Only
+# this section factorizes integers, and only up to ORACLE_MAX_M.
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Trial division, refused above the oracle bound instead of running for ages."""
+    if n > ORACLE_MAX_M:
+        raise ValueError(f"cannot factorize {n}: it exceeds the oracle bound {ORACLE_MAX_M}")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def squarefree_part(n: int) -> int:
+    """Product of the primes dividing n to an odd power."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return squarefree_of_product((n,))
+
+
+def squarefree_of_product(xs: Iterable[int]) -> int:
+    parities: dict[int, int] = {}
+    for x in xs:
+        for q, k in _factorize(x).items():
+            parities[q] = (parities.get(q, 0) + k) % 2
+    out = 1
+    for q, k in parities.items():
+        if k:
+            out *= q
+    return out
+
+
 @dataclass(frozen=True)
 class SurdValue:
     """Exact value sqrt(2)**two_exp * i**i_exp * sqrt(radicand), with the
@@ -236,26 +289,6 @@ class SurdValue:
         return cls(0, 0, 1)
 
 
-def _tau_product(two_exp: int, i_exp: int, radicands: Iterable[int], f: GaloisElement) -> int:
-    """Sign by which f scales sqrt(2)**two_exp * i**i_exp * sqrt(prod radicands);
-    tau_sqrt is multiplicative and blind to squares, so nothing is factorized."""
-    sign = (tau_sqrt2(f) ** two_exp) * (tau_i(f) ** i_exp)
-    for m in radicands:
-        sign *= tau_sqrt(m, f)
-    return sign
-
-
-def tau_surd(v: SurdValue, f: GaloisElement) -> int:
-    return _tau_product(v.two_exp, v.i_exp, (v.radicand,), f)
-
-
-def _diff_exponents(n: int, k: int) -> tuple[int, int]:
-    """(two_exp, i_exp) of the difference value of a strict partition of n
-    into k parts."""
-    two_exp = (n - k) % 2
-    return two_exp, (n - k + two_exp) // 2
-
-
 def diff_value(lam: BarPartition) -> SurdValue:
     """Nonzero value of the difference character attached to a strict
     partition, up to sign: sqrt(2) * i**((n-k+1)/2) * sqrt(prod parts) when
@@ -265,44 +298,11 @@ def diff_value(lam: BarPartition) -> SurdValue:
     return SurdValue(*_diff_exponents(lam.size, lam.length), squarefree_of_product(lam.parts))
 
 
-@lru_cache(maxsize=None)
-def _tau_partition_cached(parts: tuple[int, ...], f: GaloisElement) -> int:
-    return _tau_product(*_diff_exponents(sum(parts), len(parts)), parts, f)
-
-
-def tau_partition(lam: BarPartition, f: GaloisElement) -> int:
-    """Sign by which f permutes the associate pair labeled by a strict
-    partition (+1 for the empty partition by convention)."""
-    if not isinstance(lam, BarPartition):
-        lam = BarPartition(lam)
-    return _tau_partition_cached(lam.parts, f)
-
-
-def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
-    if not lam.is_self_conjugate():
-        raise ValueError(f"{lam!r} is not self-conjugate")
-    return lam.diagonal_hooks()
-
-
 def selfconjugate_diff_value(lam: Partition) -> SurdValue:
     """Difference-character value for a self-conjugate partition: the part
     lengths are replaced by the diagonal hook lengths."""
     hooks = _selfconjugate_hooks(lam)
     return SurdValue(0, (lam.size - len(hooks)) // 2, squarefree_of_product(hooks))
-
-
-def tau_selfconjugate(lam: Partition, f: GaloisElement) -> int:
-    hooks = _selfconjugate_hooks(lam)
-    return _tau_product(0, (lam.size - len(hooks)) // 2, hooks, f)
-
-
-# ---------------------------------------------------------------------------
-# exact cyclotomic oracle
-#
-# Elements of Z[zeta_n] are held as integer coefficient vectors indexed by
-# exponents 0..n-1.  Applying an automorphism zeta -> zeta**c permutes the
-# exponents; equality of algebraic numbers is decided on canonical forms
-# modulo the cyclotomic polynomial (n = 8 or n an odd prime below).
 
 
 def _legendre_euler(a: int, q: int) -> int:

@@ -20,6 +20,8 @@ from .characters import (
     STILDE,
     WHOLE,
     CharLabel,
+    _VARIANTS,
+    _defect_and_heights,
     nu_p_factorial,
     spin_degree_valuation,
 )
@@ -30,7 +32,6 @@ from .partitions import BarPartition
 G = "g"
 GPLUS = "gplus"
 _GGROUPS = (G, GPLUS)
-_VARIANTS = (WHOLE, PLUS, MINUS)
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,6 @@ class GCharLabel:
             raise ValueError(f"group must be one of {_GGROUPS}")
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
-
-    @property
-    def is_pair_member(self) -> bool:
-        return self.variant != WHOLE
 
     def sort_key(self):
         return (self.mu.parts, self.nu.parts, _VARIANTS.index(self.variant))
@@ -88,8 +85,6 @@ def classify_g(mu: BarPartition, nu: BarPartition, group: str) -> tuple[GCharLab
     """On the full twisted product, equal component signs give one
     self-associate label and opposite signs an associate pair; on the
     index-two subgroup the classification flips."""
-    if group not in _GGROUPS:
-        raise ValueError(f"group must be one of {_GGROUPS}")
     same_sign = mu.sign() == nu.sign()
     whole = same_sign if group == G else not same_sign
     if whole:
@@ -152,12 +147,7 @@ def g_degree_valuation(label: GCharLabel, p: int) -> int:
 def g_height_and_defect(members, p: int):
     """Heights and defect of a twisted-product block; the group-order
     valuation is nu_p(r!) + nu_p((pw)!)."""
-    members = tuple(members)
-    if not members:
-        raise ValueError("need at least one label")
-    order_val = nu_p_factorial(members[0].mu.size, p) + nu_p_factorial(members[0].nu.size, p)
     vals = {label: g_degree_valuation(label, p) for label in members}
-    low = min(vals.values())
-    defect = order_val - low
-    heights = {label: v - low for label, v in vals.items()}
-    return defect, heights
+    return _defect_and_heights(
+        vals, lambda label: nu_p_factorial(label.mu.size, p) + nu_p_factorial(label.nu.size, p)
+    )

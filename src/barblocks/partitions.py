@@ -103,9 +103,6 @@ class Partition:
                 out.append((p - j) + (conj[j] - i) - 1)
         return tuple(out)
 
-    def to_bar(self) -> "BarPartition":
-        return BarPartition(self.parts)
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> list[int]:

@@ -357,6 +357,10 @@ WITNESS_CASES = [
         "tau_oracle", 4, _flip_oracle_at(2),
         {"m": 2, "f": {"p": 3, "e": 0, "s": 1}, "closed": 1, "oracle": -1},
     ),
+    (
+        "blocks", 4, _doctored("g_height_and_defect", lambda dh: (dh[0] + 1, dh[1])),
+        {"kappa": [], "w": 1, "group": "stilde", "defect": 1, "image_defect": 2},
+    ),
 ]
 
 

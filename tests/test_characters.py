@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial, prod
+
 import pytest
 
 from barblocks.characters import (
@@ -13,10 +16,13 @@ from barblocks.characters import (
     height_and_defect,
     is_split,
     label_tau,
+    nonspin_degree_valuation,
     nu_p,
     nu_p_factorial,
+    spin_degree_valuation,
 )
 from barblocks.galois import GaloisElement, tau_partition, tau_selfconjugate
+from barblocks.humphreys import g_height_and_defect
 from barblocks.littlewood import bar_cocore
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
 
@@ -127,6 +133,58 @@ def test_height_and_defect_defect_zero():
 def test_height_and_defect_rejects_empty():
     with pytest.raises(ValueError):
         height_and_defect([], 4, 3)
+
+
+def _nu_rational(x: Fraction, p: int) -> int:
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _schur_spin_degree(parts) -> Fraction:
+    """Schur's spin degree n!/prod(a!) * prod_{i<j} (a_i-a_j)/(a_i+a_j), up
+    to a power of 2 (J. reine angew. Math. 139, 1911)."""
+    degree = Fraction(factorial(sum(parts)), prod(factorial(a) for a in parts))
+    for i, a in enumerate(parts):
+        for b in parts[i + 1 :]:
+            degree *= Fraction(a - b, a + b)
+    return degree
+
+
+def _frobenius_degree(parts) -> Fraction:
+    """Frobenius: n! prod_{i<j} (l_i - l_j) / prod l_i!, l_i = lambda_i + len - i."""
+    ls = [a + len(parts) - 1 - i for i, a in enumerate(parts)]
+    spread = prod(a - b for i, a in enumerate(ls) for b in ls[i + 1 :])
+    return Fraction(factorial(sum(parts)) * spread, prod(factorial(x) for x in ls))
+
+
+def test_valuations_match_the_product_formulas():
+    """Hook-length valuations against nu_p of the Schur and Frobenius
+    product formulas, which never list a hook."""
+    cases = 0
+    for p in (3, 5, 7):
+        for n in range(26):
+            for lam in enumerate_partitions(n, "strict"):
+                want = _nu_rational(_schur_spin_degree(lam.parts), p)
+                assert spin_degree_valuation(lam, p) == want, (lam, p)
+                cases += 1
+        for n in range(16):
+            for lam in enumerate_partitions(n, "all"):
+                want = _nu_rational(_frobenius_degree(lam.parts), p)
+                assert nonspin_degree_valuation(lam, p) == want, (lam, p)
+                cases += 1
+    assert cases == 4764
+
+
+def test_g_height_and_defect_rejects_empty():
+    with pytest.raises(ValueError, match="need at least one label"):
+        g_height_and_defect([], 3)
 
 
 def test_label_tau_dispatch():

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -242,3 +245,12 @@ def test_determinism(capsys):
     first = run(capsys, "blocks", "--p", "3", "--n", "7", "--group", "atilde")
     second = run(capsys, "blocks", "--p", "3", "--n", "7", "--group", "atilde")
     assert first == second
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    """bench/tracer.py wraps library functions by name and refuses to run when
+    one is missing; the benchmark is not under testpaths, so check it here."""
+    code = "import sys; sys.path[:0] = ['bench', 'src']; import tracer; tracer.Tracer().install()"
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import pytest
 
 from barblocks import galois
@@ -223,6 +225,21 @@ def test_tau_partition_against_oracle():
             for n in range(12):
                 for lam in enumerate_partitions(n, "strict"):
                     assert tau_partition(lam, f) == oracle_tau_surd(diff_value(lam), f)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: diff_value(BarPartition([10**30 + 57, 1])),
+        lambda: SurdValue(0, 0, 10**30 + 57),
+    ],
+    ids=["diff_value", "SurdValue"],
+)
+def test_surd_layer_refuses_radicands_above_the_oracle_bound(make):
+    start = perf_counter()
+    with pytest.raises(ValueError, match="oracle bound"):
+        make()
+    assert perf_counter() - start < 1.0
 
 
 def test_tau_selfconjugate_examples():
