@@ -1,76 +1,56 @@
 """Bar-partition combinatorics, abacus decompositions, Galois sign actions,
-and block bijections for double covers of symmetric and alternating groups."""
+and block bijections for double covers of symmetric and alternating groups.
 
-from .abacus import BarAbacus, FencedRunner, TwistedBarAbacus, reference_runner, render
-from .blocks import (
-    LabelMap,
-    NonSpinBlockId,
-    SpinBlockId,
-    VerificationReport,
-    equivariance_check,
-    nonspin_block_members,
-    nonspin_psi,
-    phi_map,
-    psi,
-    spin_block_members,
-    verify,
-)
-from .characters import (
-    ATILDE,
-    STILDE,
-    CharLabel,
-    ClassLabel,
-    bar_hook_lengths,
-    classify,
-    degree_valuation,
-    height_and_defect,
-    is_split,
-    label_tau,
-)
-from .galois import (
-    GaloisElement,
-    SurdValue,
-    diff_value,
-    jacobi,
-    oracle_tau_sqrt,
-    standard_generators,
-    tau_i,
-    tau_partition,
-    tau_selfconjugate,
-    tau_sqrt,
-    tau_sqrt2,
-)
-from .humphreys import (
-    G,
-    GPLUS,
-    GBlockId,
-    GCharLabel,
-    block_members,
-    classify_g,
-    g_degree_valuation,
-    phi,
-    phi_inverse,
-    tau_g,
-)
-from .littlewood import (
-    BarLittlewood,
-    OrdinaryLittlewood,
-    bar_cocore,
-    bar_decompose,
-    bar_reconstruct,
-    ordinary_cocore,
-    ordinary_decompose,
-    ordinary_reconstruct,
-    paired_parts,
-    selfconjugate_paired_hooks,
-)
-from .partitions import (
-    BarPartition,
-    FrobeniusSymbol,
-    Partition,
-    enumerate_partitions,
-    from_frobenius,
-    parse_partition,
-)
+The public names are served lazily (PEP 562): importing the package loads no
+submodule, and a name loads its defining module on first use.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_NAMES_BY_MODULE = {
+    "abacus": ("BarAbacus", "FencedRunner", "TwistedBarAbacus", "reference_runner", "render"),
+    "blocks": (
+        "LabelMap", "NonSpinBlockId", "SpinBlockId", "VerificationReport", "equivariance_check",
+        "nonspin_block_members", "nonspin_psi", "phi_map", "psi", "spin_block_members", "verify",
+    ),
+    "characters": (
+        "ATILDE", "STILDE", "CharLabel", "ClassLabel", "bar_hook_lengths", "classify",
+        "degree_valuation", "height_and_defect", "is_split", "label_tau",
+    ),
+    "galois": (
+        "GaloisElement", "SurdValue", "diff_value", "jacobi", "oracle_tau_sqrt",
+        "standard_generators", "tau_i", "tau_partition", "tau_selfconjugate", "tau_sqrt",
+        "tau_sqrt2",
+    ),
+    "humphreys": (
+        "G", "GPLUS", "GBlockId", "GCharLabel", "block_members", "classify_g", "g_degree_valuation",
+        "phi", "phi_inverse", "tau_g",
+    ),
+    "littlewood": (
+        "BarLittlewood", "OrdinaryLittlewood", "bar_cocore", "bar_decompose", "bar_reconstruct",
+        "ordinary_cocore", "ordinary_decompose", "ordinary_reconstruct", "paired_parts",
+        "selfconjugate_paired_hooks",
+    ),
+    "partitions": (
+        "BarPartition", "FrobeniusSymbol", "Partition", "enumerate_partitions", "from_frobenius",
+        "parse_partition",
+    ),
+}
+# public name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in _NAMES_BY_MODULE.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _NAMES_BY_MODULE:  # a submodule, as after an eager import
+        return import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,7 +10,8 @@ Conventions used throughout:
   is never materialized.  The engine in littlewood.py holds the same pair as
   two descending int tuples.
 * With above slot k at position k and below slot k at position -1-k, a shift
-  by c is one translation of every bead (`_shift`); pull_up is c = 1.
+  by c is one translation of every bead (`partitions._shift`, shared with
+  the engine); pull_up is c = 1.
 * A runner is *pointed* when it carries as many black beads above as white
   beads below.  A pointed runner encodes a partition through its Frobenius
   symbol: black slots above are the arms, white slots below are the legs.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .partitions import BarPartition, FrobeniusSymbol, Partition
+from .partitions import BarPartition, FrobeniusSymbol, Partition, _shift
 
 BLACK = "●"
 WHITE = "○"
@@ -39,24 +40,6 @@ def _as_slot_set(xs: Iterable[int]) -> frozenset:
     if any(x < 0 for x in out):
         raise ValueError("slot labels must be non-negative")
     return out
-
-
-def _shift(above: tuple, below: tuple, c: int) -> tuple[tuple, tuple]:
-    """Translate every bead of the runner (above, below) by c positions.
-
-    For c > 0 the below slots 0..c-1 cross the fence, and the black ones
-    among them land on above slots c-1..0.  A push down (c < 0) is the pull
-    up of the color-reversed mirror runner (below, above).  Descending slot
-    tuples stay descending.
-    """
-    if c < 0:
-        below, above = _shift(below, above, -c)
-        return above, below
-    white = set(below)
-    return (
-        tuple(x + c for x in above) + tuple(c - 1 - k for k in range(c) if k not in white),
-        tuple(k - c for k in below if k >= c),
-    )
 
 
 @dataclass(frozen=True)

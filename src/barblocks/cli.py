@@ -11,19 +11,20 @@ import argparse
 import json
 import sys
 
-from .abacus import BarAbacus, render
-from .blocks import (
-    SUITES,
-    SpinBlockId,
-    bar_cores,
-    spin_block_members,
-    verify,
-)
-from .characters import ATILDE, STILDE, height_and_defect
-from .galois import GaloisElement, tau_partition, tau_selfconjugate
-from .humphreys import G, GPLUS, GBlockId, block_members, g_height_and_defect
-from .littlewood import bar_decompose, ordinary_decompose, paired_parts, selfconjugate_paired_hooks
 from .partitions import parse_partition
+
+# Each command imports the library modules it uses when it runs, so that a
+# process loads and compiles only those: decompose and pairs need littlewood,
+# abacus needs abacus, tau needs galois, and blocks and verify need the rest.
+# The parser itself needs the suite and group names; these are copies of
+# sorted(blocks.SUITES) and of (STILDE, ATILDE, G, GPLUS), which
+# tests/test_cli.py pins equal to the library's.
+_SUITES = (
+    "blocks", "census", "crossing", "crossing_fails", "durfee", "lengths", "little", "pairing",
+    "phi", "psi", "psi_nonspin", "roundtrips", "signs", "sizes", "tau_nonspin", "tau_oracle",
+    "valuation",
+)
+_GROUPS = ("stilde", "atilde", "g", "gplus")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,11 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     blk = sub.add_parser("blocks", help="spin blocks of a group of degree n")
     blk.add_argument("--p", type=int, required=True)
     blk.add_argument("--n", type=int, required=True)
-    blk.add_argument("--group", choices=(STILDE, ATILDE, G, GPLUS), required=True)
+    blk.add_argument("--group", choices=_GROUPS, required=True)
     blk.add_argument("--json", action="store_true")
 
     ver = sub.add_parser("verify", help="run an exhaustive verification suite")
-    ver.add_argument("suite", choices=sorted(SUITES))
+    ver.add_argument("suite", choices=_SUITES)
     ver.add_argument("--p", type=int, required=True)
     ver.add_argument("--max-n", type=int, required=True, help="size bound of the sweep")
     ver.add_argument("--max-w", type=int, default=3, help="weight bound for block suites")
@@ -85,6 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _partition_text(args) -> str:
+    if args.partition_flag is not None and args.partition is not None:
+        raise ValueError("give one partition literal, positional or with --partition, not both")
     if args.partition_flag is not None:
         return args.partition_flag
     if args.partition is not None:
@@ -93,6 +96,8 @@ def _partition_text(args) -> str:
 
 
 def _cmd_decompose(args) -> int:
+    from .littlewood import bar_decompose, ordinary_decompose
+
     if args.nonspin:
         lam = parse_partition(_partition_text(args))
         dec = ordinary_decompose(lam, args.p)
@@ -114,6 +119,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_abacus(args) -> int:
+    from .abacus import BarAbacus, render
+
     lam = parse_partition(_partition_text(args), strict=True)
     ab = BarAbacus.from_partition(lam, args.p)
     obj = ab.twist() if args.twisted else ab
@@ -122,6 +129,8 @@ def _cmd_abacus(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    from .galois import GaloisElement, tau_partition, tau_selfconjugate
+
     f = GaloisElement(args.p, args.e, args.s)
     if args.nonspin:
         lam = parse_partition(_partition_text(args))
@@ -133,6 +142,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
+    from .littlewood import paired_parts, selfconjugate_paired_hooks
+
     if args.nonspin:
         lam = parse_partition(_partition_text(args))
         result = selfconjugate_paired_hooks(lam, args.p)
@@ -149,12 +160,19 @@ def _cmd_pairs(args) -> int:
 
 def _spin_blocks_of(n: int, p: int, group: str):
     """The blocks of degree n: one for each p-bar core kappa with p | n - |kappa|."""
+    from .blocks import SpinBlockId, bar_cores
+
     cores = [k for k in bar_cores(p, n) if (n - k.size) % p == 0]
     for kappa in sorted(cores, key=lambda k: (k.size, k.parts)):
         yield SpinBlockId(kappa, (n - kappa.size) // p, group, p)
 
 
 def _cmd_blocks(args) -> int:
+    from .blocks import bar_cores, spin_block_members
+    from .characters import ATILDE, STILDE, height_and_defect
+    from .galois import GaloisElement
+    from .humphreys import GBlockId, block_members, g_height_and_defect
+
     GaloisElement(args.p)  # raises "p must be an odd prime, got ..." for any other p
     if args.n < 0:
         raise ValueError("n must be non-negative")
@@ -199,6 +217,8 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .blocks import verify
+
     report = verify(args.suite, args.p, args.max_n, w_max=args.max_w)
     if args.json:
         print(json.dumps(report.to_json()))

@@ -3,9 +3,11 @@ partitions, plus the pairing of parts (resp. diagonal hooks) on cocores.
 
 One engine serves both kinds.  A runner is a pair of descending int tuples
 (black_above, white_below), as in abacus.py, and shifting it is one
-translation of its beads (abacus._shift).  A layout says how the numbers of
-a label lie on the fenced runners j = 0, 1, ... of modulus m: runner j holds
-m*x + j + head at above slot x and m*x + m-1-j at below slot x.
+translation of its beads (partitions._shift).  The engine needs nothing else
+of the abacus view, so a decomposition does not load abacus.py.  A layout
+says how the numbers of a label lie on the fenced runners j = 0, 1, ... of
+modulus m: runner j holds m*x + j + head at above slot x and m*x + m-1-j at
+below slot x.
 
 * bar, odd t, head 1: the numbers are the parts, as on the twisted t-abacus;
   the parts t*x lie on its unfenced runner 0, read off directly as the
@@ -34,8 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .abacus import _shift
-from .partitions import BarPartition, Partition, _frobenius, _from_frobenius, _partitions_of
+from .partitions import BarPartition, Partition, _frobenius, _from_frobenius, _partitions_of, _shift
 
 
 class _Record:

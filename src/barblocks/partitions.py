@@ -110,10 +110,15 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str):
-        text = text.strip()
-        if not text:
+        if not text.strip():
             return cls()
-        return cls(int(tok) for tok in text.split(","))
+        parts = []
+        for tok in text.split(","):
+            try:
+                parts.append(int(tok))
+            except ValueError:
+                raise ValueError(f"cannot parse partition {text!r}: field {tok!r} is not an integer") from None
+        return cls(parts)
 
 
 class BarPartition(Partition):
@@ -178,6 +183,24 @@ def _from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, 
             j -= 1
         rows.append(j)
     return tuple(rows)
+
+
+def _shift(above: tuple, below: tuple, c: int) -> tuple[tuple, tuple]:
+    """Translate every bead of the fenced runner (above, below) by c positions.
+
+    For c > 0 the below slots 0..c-1 cross the fence, and the black ones
+    among them land on above slots c-1..0.  A push down (c < 0) is the pull
+    up of the color-reversed mirror runner (below, above).  Descending slot
+    tuples stay descending.
+    """
+    if c < 0:
+        below, above = _shift(below, above, -c)
+        return above, below
+    white = set(below)
+    return (
+        tuple(x + c for x in above) + tuple(c - 1 - k for k in range(c) if k not in white),
+        tuple(k - c for k in below if k >= c),
+    )
 
 
 def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:

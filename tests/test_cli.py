@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -254,3 +256,92 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+LITERAL_COMMANDS = [
+    ("decompose", "--p", "5"),
+    ("decompose", "--p", "5", "--nonspin"),
+    ("abacus", "--p", "5"),
+    ("tau", "--p", "5"),
+    ("pairs", "--p", "5"),
+]
+
+
+@pytest.mark.parametrize("literal, field", [("1,,2", "''"), ("1e3", "'1e3'"), ("x", "'x'"), ("3,-1", "-1"), (",", "''")])
+@pytest.mark.parametrize("command", LITERAL_COMMANDS, ids=" ".join)
+def test_bad_partition_literal_is_refused_naming_it(capsys, command, literal, field):
+    start = perf_counter()
+    code, out, err = run(capsys, *command, literal)
+    assert perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert field in err
+    if literal != "3,-1":  # parses as integers; the constructor refuses the part
+        assert repr(literal) in err
+
+
+@pytest.mark.parametrize("command", LITERAL_COMMANDS, ids=" ".join)
+def test_two_partition_literals_are_refused(capsys, command):
+    code, out, err = run(capsys, *command, "--partition", "3,1", "4,1")
+    assert (code, out) == (2, "")
+    assert err == "error: give one partition literal, positional or with --partition, not both\n"
+
+
+def test_parser_choices_equal_the_library_names():
+    from barblocks import cli
+    from barblocks.blocks import SUITES
+    from barblocks.characters import ATILDE, STILDE
+    from barblocks.humphreys import G, GPLUS
+
+    assert cli._SUITES == tuple(sorted(SUITES))
+    assert cli._GROUPS == (STILDE, ATILDE, G, GPLUS)
+
+
+# sha256 of the help texts at 80 columns, as printed before the command
+# modules were imported per command
+HELP_DIGESTS = {
+    (): "325c09e30100fbbb94de703af0122dd256afe564c1067a5eb95f702c767121e8",
+    ("verify",): "f495f5d087482ab310277c35621161621360891303cc93bc8f600ab5c098e774",
+    ("blocks",): "42ea3f253d7029bcecc08ff5346fac9aca1a2a2578af75275cd84f0a82bed348",
+}
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS, ids=lambda c: " ".join(c + ("-h",)))
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "-h"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+ALL_MODULES = {"abacus", "blocks", "characters", "cli", "galois", "humphreys", "littlewood", "partitions"}
+LIGHT = {"cli", "partitions"}
+MODULE_BUDGETS = {
+    ("decompose", "--p", "5", "14,12,8,6,3,2"): LIGHT | {"littlewood"},
+    ("decompose", "--p", "3", "--nonspin", "2,2"): LIGHT | {"littlewood"},
+    ("pairs", "--p", "5", "14,12,8,6,3,2"): LIGHT | {"littlewood"},
+    ("pairs", "--p", "5", "--nonspin", "3,1,1"): LIGHT | {"littlewood"},
+    ("abacus", "--p", "3", "--twisted", "5,3,2,1"): LIGHT | {"abacus"},
+    ("tau", "--p", "3", "2,1"): LIGHT | {"galois"},
+    ("tau", "--p", "3", "--nonspin", "2,1"): LIGHT | {"galois"},
+    ("blocks", "--p", "3", "--n", "4", "--group", "stilde"): ALL_MODULES,
+    ("blocks", "--p", "3", "--n", "4", "--group", "g"): ALL_MODULES,
+    ("verify", "little", "--p", "3", "--max-n", "5"): ALL_MODULES,
+}
+
+
+@pytest.mark.parametrize("argv", MODULE_BUDGETS, ids=" ".join)
+def test_each_command_loads_only_the_modules_it_uses(argv):
+    """A command imports its library modules when it runs, so a process pays
+    the import (and, without a bytecode cache, the compile) of those alone."""
+    code = (
+        "import json, sys; from barblocks.cli import main; code = main(sys.argv[1:]); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('barblocks.'))]))"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+    exit_code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert exit_code == 0, done.stderr
+    assert {m.removeprefix("barblocks.") for m in modules} == MODULE_BUDGETS[argv]

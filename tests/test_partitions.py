@@ -160,6 +160,19 @@ def test_text_round_trip():
         parse_partition("3,3", strict=True)
 
 
+@pytest.mark.parametrize("text, field", [("1,,2", ""), ("1e3", "1e3"), ("x", "x"), (",", ""), ("4, 2.5", " 2.5")])
+def test_text_refusal_names_literal_and_field(text, field):
+    for strict in (False, True):
+        with pytest.raises(ValueError) as exc:
+            parse_partition(text, strict=strict)
+        assert str(exc.value) == f"cannot parse partition {text!r}: field {field!r} is not an integer"
+
+
+def test_text_accepts_what_int_accepts():
+    assert parse_partition(" 3, +2 ,1 ", strict=True) == BarPartition([3, 2, 1])
+    assert parse_partition("  ") == Partition()
+
+
 def test_json_form():
     lam = Partition([3, 1])
     assert json.loads(json.dumps(lam.to_json())) == [3, 1]
