@@ -8,8 +8,9 @@ quotient of total weight w: a strict head component and (p-1)/2 ordinary ones
 for a spin block, p ordinary ones for a non-spin block.  The engine in
 littlewood.py builds this list once per (kind, kappa, w, p), and both spin
 groups share it.  The blocks of degree n are those over the p-bar cores kappa
-with p | n - |kappa|, and bar_cores builds the cores from their
-characteristic vectors.
+with p | n - |kappa|.  bar_cores and selfconjugate_cores build the cores of
+both kinds by one walk over their characteristic vectors (littlewood._cores),
+never by decomposing candidates.
 
 The suites form one table, SUITES, from a name to a function
 (p, bound, w_max) -> (cases, violations, notes).  Most entries are data
@@ -78,8 +79,7 @@ from .humphreys import (
 from .littlewood import (
     _BAR,
     _ORDINARY,
-    _bar_cores,
-    _checked,
+    _cores,
     _members,
     bar_decompose,
     bar_reconstruct,
@@ -98,25 +98,15 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return _partitions_of(n, "all")
 
 
-@lru_cache(maxsize=None)
 def bar_cores(p: int, max_size: int) -> tuple[BarPartition, ...]:
-    """All p-bar cores of size at most max_size, by size then descending:
-    the cores of the characteristic vectors within the size budget."""
-    _checked(_BAR, (), p)  # the modulus check of bar_decompose
-    cores = sorted(_bar_cores(p, max_size), reverse=True)
-    return tuple(map(BarPartition, sorted(cores, key=sum)))
+    """All p-bar cores of size at most max_size, by size then descending."""
+    return _cores(_BAR, p, max_size)
 
 
-@lru_cache(maxsize=None)
 def selfconjugate_cores(p: int, max_size: int) -> tuple[Partition, ...]:
-    out = []
-    for n in range(max_size + 1):
-        out.extend(
-            k
-            for k in enumerate_partitions(n, "self_conjugate")
-            if ordinary_decompose(k, p).weight == 0
-        )
-    return tuple(out)
+    """All self-conjugate p-cores of size at most max_size, by size then
+    descending."""
+    return _cores(_ORDINARY, p, max_size)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--partition", dest="partition_flag", default=None)
 
     dec = sub.add_parser("decompose", help="core / quotient / cocore decomposition")
-    dec.add_argument("--p", type=int, required=True, help="odd modulus (odd prime for --nonspin)")
+    dec.add_argument("--p", type=int, required=True, help="odd integer >= 3")
     dec.add_argument("--nonspin", action="store_true", help="decompose an ordinary partition")
     dec.add_argument("--json", action="store_true")
     partition_args(dec)
@@ -158,61 +158,57 @@ def _cmd_pairs(args) -> int:
     return 0
 
 
-def _spin_blocks_of(n: int, p: int, group: str):
-    """The blocks of degree n: one for each p-bar core kappa with p | n - |kappa|."""
+def _blocks_of(n: int, p: int, group: str) -> list:
+    """The blocks of degree n: one for each p-bar core kappa with p | n - |kappa|,
+    by (size, parts) for the spin groups; the G and G+ blocks keep the order
+    of bar_cores and need weight at least 1."""
     from .blocks import SpinBlockId, bar_cores
+    from .characters import ATILDE, STILDE
+    from .humphreys import GBlockId
 
-    cores = [k for k in bar_cores(p, n) if (n - k.size) % p == 0]
-    for kappa in sorted(cores, key=lambda k: (k.size, k.parts)):
-        yield SpinBlockId(kappa, (n - kappa.size) // p, group, p)
+    spin = group in (STILDE, ATILDE)
+    cores = [k for k in bar_cores(p, n) if (n - k.size) % p == 0 and (spin or k.size < n)]
+    if spin:
+        cores.sort(key=lambda k: (k.size, k.parts))
+    block = SpinBlockId if spin else GBlockId
+    return [block(kappa, (n - kappa.size) // p, group, p) for kappa in cores]
 
 
 def _cmd_blocks(args) -> int:
-    from .blocks import bar_cores, spin_block_members
-    from .characters import ATILDE, STILDE, height_and_defect
+    from .blocks import SpinBlockId, spin_block_members
+    from .characters import height_and_defect
     from .galois import GaloisElement
-    from .humphreys import GBlockId, block_members, g_height_and_defect
+    from .humphreys import block_members, g_height_and_defect
 
     GaloisElement(args.p)  # raises "p must be an odd prime, got ..." for any other p
     if args.n < 0:
         raise ValueError("n must be non-negative")
-    spin = args.group in (STILDE, ATILDE)
-    if spin:
-        blocks = _spin_blocks_of(args.n, args.p, args.group)
-    else:
-        blocks = (
-            GBlockId(kappa, (args.n - kappa.size) // args.p, args.group, args.p)
-            for kappa in bar_cores(args.p, args.n)
-            if args.n > kappa.size and (args.n - kappa.size) % args.p == 0
-        )
     out = []
-    for block in blocks:
+    for block in _blocks_of(args.n, args.p, args.group):
+        spin = isinstance(block, SpinBlockId)
         if spin:
             members = spin_block_members(block)
             defect, heights = height_and_defect(members, block.n, args.p)
         else:
             members = block_members(block)
             defect, heights = g_height_and_defect(members, args.p)
-        out.append(
-            {
-                "kappa": block.kappa.to_json(),
-                "w": block.w,
-                "group": block.group,
-                "defect": defect,
-                "members": [{**label.to_json(), "height": heights[label]} for label in members],
-            }
-        )
+        if args.json:
+            out.append(
+                {
+                    "kappa": block.kappa.to_json(),
+                    "w": block.w,
+                    "group": block.group,
+                    "defect": defect,
+                    "members": [{**label.to_json(), "height": heights[label]} for label in members],
+                }
+            )
+            continue
+        print(f"block kappa=[{block.kappa}] w={block.w} group={block.group} defect={defect}")
+        for label in members:
+            name = label.partition if spin else label.nu
+            print(f"  [{name}] {label.variant} height={heights[label]}")
     if args.json:
         print(json.dumps(out))
-        return 0
-    for rec in out:
-        print(
-            f"block kappa=[{','.join(str(x) for x in rec['kappa'])}] "
-            f"w={rec['w']} group={rec['group']} defect={rec['defect']}"
-        )
-        for m in rec["members"]:
-            name = ",".join(str(x) for x in m.get("partition", m.get("nu", [])))
-            print(f"  [{name}] {m['variant']} height={m['height']}")
     return 0
 
 

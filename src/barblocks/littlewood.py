@@ -12,7 +12,7 @@ below slot x.
 * bar, odd t, head 1: the numbers are the parts, as on the twisted t-abacus;
   the parts t*x lie on its unfenced runner 0, read off directly as the
   first, strict quotient component.
-* ordinary, odd prime p, head 0: the numbers are the arms (above) and legs
+* ordinary, odd p, head 0: the numbers are the arms (above) and legs
   (below) of the Frobenius symbol, so conjugation is the runner reflection
   j <-> p-1-j.
 
@@ -26,8 +26,9 @@ a cocore: all runners for bar, one of each pair {j, p-1-j} for ordinary.
 
 Blocks run the engine backwards.  ``_members`` lists the labels with a given
 core and weight by reconstructing every quotient of that weight, and
-``_bar_cores`` lists the t-bar cores as the cores of the characteristic
-vectors within a size budget.
+``_cores`` lists the cores of both kinds, t-bar cores and self-conjugate
+p-cores, as the cores of the characteristic vectors within a size budget.
+The moduli are odd integers >= 3, not only primes: the engine needs no more.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class BarLittlewood(_Record):
 
 @dataclass(frozen=True)
 class OrdinaryLittlewood(_Record):
-    """Decomposition record of an ordinary partition for an odd prime p."""
+    """Decomposition record of an ordinary partition for an odd p."""
 
     p: int
     core: Partition
@@ -130,7 +131,7 @@ _BAR = _Layout(
 _ORDINARY = _Layout(
     record=OrdinaryLittlewood,
     label=Partition,
-    modulus="p must be an odd prime >= 3",
+    modulus="p must be an odd integer >= 3",
     head=0,
     width=lambda p: p,
     counted=lambda p: (p + 1) // 2,
@@ -264,15 +265,21 @@ def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
     return tuple(sorted(labels, key=lambda lam: lam.parts))
 
 
-def _bar_cores(t: int, max_size: int) -> list[tuple[int, ...]]:
-    """The parts of every t-bar core of size at most max_size.  A t-bar core
-    is the core of its characteristic vector c: runner j holds c_j beads on
-    residue r = j+1, or -c_j on residue t-r, and so has size
-    |c_j| * (r or t-r) + t * |c_j| * (|c_j| - 1) / 2."""
+def _cores(layout: _Layout, m: int, max_size: int) -> tuple:
+    """Every m-bar core (bar layout) or self-conjugate m-core (ordinary
+    layout) of size at most max_size, by size then descending: the cores of
+    the characteristic vectors c within the size budget.  Runner pair j of
+    residue r holds |c_j| beads on r, or on t-r when c_j < 0, and costs
+    |c_j| * (r or t-r) + t * |c_j| * (|c_j| - 1) / 2.  Bar cores have t = m
+    and r = j+1.  A self-conjugate core has c = (c_0, ..., c_{(m-3)/2}, 0,
+    -c_{(m-3)/2}, ..., -c_0), and its diagonal hooks 2(m*x + j) + 1 give
+    t = 2m and r = 2j+1."""
+    _checked(layout, (), m)  # the modulus check of the decomposition
+    t, residues = (m, range(1, m // 2 + 1)) if layout.head else (2 * m, range(1, m - 1, 2))
     options = []
-    for j in range((t - 1) // 2):
+    for r in residues:
         runner = [(0, 0)]
-        for sign, residue in ((1, j + 1), (-1, t - j - 1)):
+        for sign, residue in ((1, r), (-1, t - r)):
             k = 1
             while k * residue + t * k * (k - 1) // 2 <= max_size:
                 runner.append((sign * k, k * residue + t * k * (k - 1) // 2))
@@ -283,12 +290,12 @@ def _bar_cores(t: int, max_size: int) -> list[tuple[int, ...]]:
         return [(left - size, c) for c, size in options[j] if size <= left]
 
     cores = []
-    for charvec, left in _depth_first(len(options) - 1, choices, max_size):
-        for c, size in options[-1]:
-            if size <= left:
-                runners = [_shift((), (), x) for x in charvec + [c]]
-                cores.append(_label_parts(_BAR, (), runners, t))
-    return cores
+    for charvec, _ in _depth_first(len(options), choices, max_size):
+        if not layout.head:
+            charvec = charvec + [0] + [-c for c in reversed(charvec)]
+        cores.append(_label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
+    cores.sort(reverse=True)
+    return tuple(map(layout.label, sorted(cores, key=sum)))
 
 
 def _pairs(layout: _Layout, lam, m: int) -> tuple[tuple[int, int], ...]:
@@ -345,7 +352,8 @@ def paired_parts(lam: BarPartition, p: int) -> tuple[tuple[int, int], ...]:
 
 
 def ordinary_decompose(lam: Partition, p: int) -> OrdinaryLittlewood:
-    """p-core/p-quotient/p-cocore of an ordinary partition, p an odd prime."""
+    """p-core/p-quotient/p-cocore of an ordinary partition, p an odd
+    integer >= 3."""
     return _decompose(_ORDINARY, *_checked(_ORDINARY, lam, p))
 
 

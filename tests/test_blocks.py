@@ -32,7 +32,7 @@ from barblocks.characters import (
     classify,
     height_and_defect,
 )
-from barblocks.cli import _spin_blocks_of, main
+from barblocks.cli import _blocks_of, main
 from barblocks.galois import GaloisElement, standard_generators, tau_partition
 from barblocks.humphreys import cocores
 from barblocks.littlewood import bar_decompose, ordinary_decompose
@@ -217,6 +217,18 @@ def test_selfconjugate_cores_helper():
         for k in selfconjugate_cores(p, 10):
             assert k.is_self_conjugate()
             assert ordinary_decompose(k, p).weight == 0
+    # complete and in order: every self-conjugate partition of size <= N that
+    # the removal oracle fixes, by size then descending
+    selfconjugate = [lam for n in range(25) for lam in enumerate_partitions(n, "self_conjugate")]
+    for p in (3, 5, 7, 11, 13):
+        for bound in range(25):
+            expected = tuple(
+                lam for lam in selfconjugate
+                if lam.size <= bound and p_core_by_hook_removal(lam, p) == lam
+            )
+            assert selfconjugate_cores(p, bound) == expected
+    # below p every self-conjugate partition is a p-core
+    assert selfconjugate_cores(1009, 8) == tuple(lam for lam in selfconjugate if lam.size <= 8)
 
 
 ELEMENTWISE_CASES = {  # p = 3, bound 14
@@ -426,7 +438,7 @@ def test_membership_matches_filtering_by_removal(p):
     for n in range(17):
         spin, ordinary = _filtered(n, p)
         cores_seen.update(spin)
-        blocks_of = [(b.kappa, b.w) for b in _spin_blocks_of(n, p, STILDE)]
+        blocks_of = [(b.kappa, b.w) for b in _blocks_of(n, p, STILDE)]
         assert blocks_of == sorted(
             ((k, (n - k.size) // p) for k in spin), key=lambda b: (b[0].size, b[0].parts)
         )

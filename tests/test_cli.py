@@ -287,6 +287,39 @@ def test_two_partition_literals_are_refused(capsys, command):
     assert err == "error: give one partition literal, positional or with --partition, not both\n"
 
 
+def _with_p(p):
+    return [
+        ("decompose", "--p", p, "3,1"),
+        ("abacus", "--p", p, "3,1"),
+        ("tau", "--p", p, "2,1"),
+        ("pairs", "--p", p, "3,1"),
+        ("blocks", "--p", p, "--n", "4", "--group", "stilde"),
+        ("verify", "little", "--p", p, "--max-n", "5"),
+    ]
+
+
+# the first p the primality check can no longer decide
+BEYOND_PRIMALITY = "3317044064679887385961981"
+EXTREME_ARGUMENTS = [
+    *_with_p("0"),
+    *_with_p("-5"),
+    *_with_p("4"),
+    *(argv for argv in _with_p(BEYOND_PRIMALITY) if argv[0] in ("tau", "blocks", "verify")),
+    ("tau", "--p", "3", "--s", "0", "2,1"),
+    ("tau", "--p", "3", "--s", "3", "2,1"),
+    ("tau", "--p", "3", "--e", "-1", "2,1"),
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_ARGUMENTS, ids=" ".join)
+def test_extreme_arguments_are_refused_fast(capsys, argv):
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_parser_choices_equal_the_library_names():
     from barblocks import cli
     from barblocks.blocks import SUITES

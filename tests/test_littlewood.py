@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +160,37 @@ def test_ordinary_core_matches_hook_removal():
     for lam in all_upto(20):
         for p in (3, 5):
             assert ordinary_decompose(lam, p).core == p_core_by_hook_removal(lam, p)
+
+
+@pytest.mark.parametrize("m", [9, 15, 21])
+def test_cores_at_odd_composite_moduli_match_the_oracles(m):
+    """The engine needs an odd modulus, not a prime one: its cores agree
+    with the removal oracles at composite m too."""
+    for lam in strict_upto(20):
+        assert bar_decompose(lam, m).core == bar_core_by_removal(lam, m)
+    for lam in all_upto(16):
+        assert ordinary_decompose(lam, m).core == p_core_by_hook_removal(lam, m)
+
+
+def test_ordinary_modulus_refusal_states_the_rule():
+    for m in (4, 1, -5):
+        with pytest.raises(ValueError, match=f"^p must be an odd integer >= 3, got {m}$"):
+            ordinary_decompose(Partition([2, 1]), m)
+
+
+def test_oracles_do_not_call_the_engine():
+    """tests/oracles.py is an independent route: of the library it may use
+    the partition classes only."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {name for name in imported if "barblocks" in name or name.startswith(".")} == {
+        "barblocks.partitions"
+    }
 
 
 def test_ordinary_core_fixed_point():
