@@ -17,11 +17,14 @@ The suites form one table, SUITES, from a name to a function
 for one of two runners:
 
 * ``_sweep`` pairs a domain (the strict partitions up to the bound, the
-  self-conjugate ones, or m in 1..bound) with a check of one element that
-  returns (cases, witnesses);
-* ``_replace_cores`` pairs a side (spin or non-spin: its cores, the map, the
-  block members and the extra witness fields) with the relation between
-  source and target cores and the groups to map.
+  cocores among them, the self-conjugate ones, or m in 1..bound) with a
+  check of one element that returns (cases, witnesses);
+* ``_replace_cores`` pairs a side (spin or non-spin: its cores, the map and
+  the extra witness fields) with the relation between source and target
+  cores and the groups to map.
+
+``blocks`` and ``_replace_cores`` check every map through ``_check_map``: a
+bijection onto the target block that keeps the defect and every height.
 
 ``little``, ``tau_oracle``, ``blocks``, ``census`` and ``crossing_fails`` are
 plain functions in the same table; ``little`` and ``tau_oracle`` prepare what
@@ -70,6 +73,7 @@ from .humphreys import (
     GBlockId,
     GCharLabel,
     block_members,
+    cocores,
     g_degree_valuation,
     g_height_and_defect,
     phi,
@@ -301,6 +305,8 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     pair with the sign on its image; self-associate labels must map to
     self-associate labels."""
     fs = tuple(fs)
+    if not fs:
+        raise ValueError("need at least one automorphism")
     p = fs[0].p
     violations = []
     cases = 0
@@ -338,30 +344,35 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     return VerificationReport("equivariance", p, 0, cases, tuple(violations), tuple(notes))
 
 
-def _strict_upto(bound: int):
+def _strict_upto(bound: int, p: int):
     for n in range(bound + 1):
         yield from strict_partitions_of(n)
 
 
-def _selfconjugate_upto(bound: int):
+def _cocores_upto(bound: int, p: int):
+    for w in range(bound // p + 1):
+        yield from cocores(w, p)
+
+
+def _selfconjugate_upto(bound: int, p: int):
     for n in range(bound + 1):
         yield from enumerate_partitions(n, "self_conjugate")
 
 
-def _m_upto(bound: int):
+def _m_upto(bound: int, p: int):
     return range(1, bound + 1)
 
 
 def _sweep(domain, check, gens=False):
     """The suite (p, bound, w_max) that runs check(x, p, fs) -> (cases,
-    witnesses) on every x of domain(bound).  With gens, fs is the standard
+    witnesses) on every x of domain(bound, p).  With gens, fs is the standard
     generators of p, built once per sweep; otherwise it is None, so that a
     check that reads no generators costs none at a large p."""
 
     def run(p, bound, w_max):
         fs = standard_generators(p) if gens else None
         cases, violations = 0, []
-        for x in domain(bound):
+        for x in domain(bound, p):
             n, found = check(x, p, fs)
             cases += n
             violations.extend(found)
@@ -422,8 +433,6 @@ def _durfee(lam, p, fs):
 
 
 def _pairing(lam, p, fs):
-    if bar_decompose(lam, p).core:
-        return 0, ()
     pairs = paired_parts(lam, p)
     found = []
     if sorted(x for pair in pairs for x in pair) != sorted(x for x in lam if x % p):
@@ -527,53 +536,20 @@ def _suite_blocks(p, bound, w_max):
         baseline[w], _ = height_and_defect(spin_block_members(empty), empty.n, p)
     for kappa in bar_cores(p, bound):
         for w in range(1, w_max + 1):
-            for group, ggroup in ((STILDE, G), (ATILDE, GPLUS)):
+            for group in (STILDE, ATILDE):
                 cases += 1
-                block = SpinBlockId(kappa, w, group, p)
-                members = spin_block_members(block)
-                gmembers = block_members(GBlockId(kappa, w, ggroup, p))
-                lmap = phi_map(block)
-                images = tuple(dst for _, dst in lmap.pairs)
-                if sorted(images, key=GCharLabel.sort_key) != list(gmembers):
-                    violations.append(
-                        {"kappa": kappa.to_json(), "w": w, "group": group, "reason": "bijection"}
-                    )
-                    continue
-                defect, heights = height_and_defect(members, block.n, p)
-                gdefect, gheights = g_height_and_defect(gmembers, p)
-                if defect != gdefect:
+                where = {"kappa": kappa.to_json(), "w": w, "group": group}
+                defect, found = _check_map(phi_map(SpinBlockId(kappa, w, group, p)), where, p)
+                violations += found
+                if defect is not None and defect != baseline[w]:
                     violations.append(
                         {
-                            "kappa": kappa.to_json(),
-                            "w": w,
-                            "group": group,
-                            "defect": defect,
-                            "image_defect": gdefect,
-                        }
-                    )
-                if defect != baseline[w]:
-                    violations.append(
-                        {
-                            "kappa": kappa.to_json(),
-                            "w": w,
-                            "group": group,
+                            **where,
                             "defect": defect,
                             "empty_core_defect": baseline[w],
                             "reason": "defect varies with core",
                         }
                     )
-                for src, dst in lmap.pairs:
-                    if heights[src] != gheights[dst]:
-                        violations.append(
-                            {
-                                "kappa": kappa.to_json(),
-                                "w": w,
-                                "group": group,
-                                "label": src.to_json(),
-                                "height": heights[src],
-                                "image_height": gheights[dst],
-                            }
-                        )
     return cases, violations, []
 
 
@@ -593,30 +569,39 @@ def _suite_census(p, bound, w_max):
     return cases, violations, []
 
 
-def _check_map_heights(lmap, p, violations):
-    src_members = tuple(s for s, _ in lmap.pairs)
-    dst_members = tuple(d for _, d in lmap.pairs)
-    sdef, sheights = height_and_defect(src_members, lmap.source.n, p)
-    tdef, theights = height_and_defect(dst_members, lmap.target.n, p)
-    if sdef != tdef:
-        violations.append(
-            {
-                "kappa": lmap.source.kappa.to_json(),
-                "kappa2": lmap.target.kappa.to_json(),
-                "defect": sdef,
-                "image_defect": tdef,
-            }
-        )
-    for src, dst in lmap.pairs:
-        if sheights[src] != theights[dst]:
-            violations.append(
-                {
-                    "label": src.to_json(),
-                    "image": dst.to_json(),
-                    "height": sheights[src],
-                    "image_height": theights[dst],
-                }
-            )
+def _check_map(lmap, where, p, heights=True):
+    """Check lmap against its target block: a bijection onto the target's
+    members and, with heights, equal defects and equal heights label by
+    label.  Heights come from hook lengths on both sides.  Returns (defect,
+    witnesses): defect is the source block's, or None when the map is not a
+    bijection or heights is off.  Every witness opens with where, the block
+    context."""
+    target = lmap.target
+    images = sorted((dst for _, dst in lmap.pairs), key=operator.methodcaller("sort_key"))
+    if isinstance(target, GBlockId):
+        members = block_members(target)
+    elif isinstance(target, SpinBlockId):
+        members = spin_block_members(target)
+    else:
+        members = nonspin_block_members(target)
+    if images != list(members):
+        return None, [{**where, "reason": "not a bijection onto the target block"}]
+    if not heights:
+        return None, []
+    defect, hs = height_and_defect(tuple(s for s, _ in lmap.pairs), lmap.source.n, p)
+    if isinstance(target, GBlockId):
+        image_defect, ht = g_height_and_defect(members, p)
+    else:
+        image_defect, ht = height_and_defect(members, target.n, p)
+    found = []
+    if defect != image_defect:
+        found.append({**where, "defect": defect, "image_defect": image_defect})
+    found += [
+        {**where, "label": s.to_json(), "image": d.to_json(), "height": hs[s], "image_height": ht[d]}
+        for s, d in lmap.pairs
+        if hs[s] != ht[d]
+    ]
+    return defect, found
 
 
 @dataclass(frozen=True)
@@ -627,14 +612,12 @@ class _Side:
 
     cores: Callable  # (p, bound) -> the cores, in sweep order
     replace: Callable  # (k1, k2, w, group, p, allow_reversed) -> LabelMap
-    members: Callable  # block -> its member labels
     extra: Callable  # (k2, violation, p) -> extra fields of an equivariance witness
 
 
 _SPIN = _Side(
     cores=lambda p, bound: bar_cores(p, bound),
     replace=lambda k1, k2, w, group, p, rev: psi(SpinBlockId(k1, w, group, p), k2, rev),
-    members=lambda block: spin_block_members(block),
     extra=lambda k2, v, p: {
         "kappa2_sign": k2.sign(),
         "cocore_sign": bar_decompose(BarPartition(v["label"]["partition"]), p).cocore.sign(),
@@ -643,7 +626,6 @@ _SPIN = _Side(
 _NONSPIN = _Side(
     cores=lambda p, bound: selfconjugate_cores(p, bound),
     replace=lambda k1, k2, w, group, p, rev: nonspin_psi(k1, k2, w, p),
-    members=lambda block: nonspin_block_members(block),
     extra=lambda k2, v, p: {},
 )
 
@@ -652,7 +634,8 @@ def _replace_cores(p, bound, w_max, side, related, groups, allow_reversed=False)
     """Map every block over k1 to the block over k2, for each pair of distinct
     related cores with matching sigma_p tau, and check that the map is a
     bijection, Galois-equivariant and, unless reversed, height-preserving.
-    A group of None marks the non-spin blocks, whose witnesses carry none."""
+    A group of None marks the non-spin blocks, whose witnesses carry none;
+    the equivariance witnesses never carry one."""
     fs = standard_generators(p)
     sigma = GaloisElement.sigma(p)
     cores = side.cores(p, bound)
@@ -664,23 +647,18 @@ def _replace_cores(p, bound, w_max, side, related, groups, allow_reversed=False)
             for w in range(1, w_max + 1):
                 for group in groups:
                     lmap = side.replace(k1, k2, w, group, p, allow_reversed)
+                    where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
+                    block = where if group is None else {**where, "group": group}
+                    defect, found = _check_map(lmap, block, p, heights=not allow_reversed)
                     cases += 1
-                    images = sorted((d for _, d in lmap.pairs), key=CharLabel.sort_key)
-                    if images != list(side.members(lmap.target)):
-                        where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
-                        if group is not None:
-                            where["group"] = group
-                        where["reason"] = "not a bijection onto the target block"
-                        violations.append(where)
+                    if defect is None and found:  # not a bijection
+                        violations += found
                         continue
                     report = equivariance_check(lmap, fs)
-                    cases += report.cases
+                    cases += report.cases + (not allow_reversed)
                     for v in report.violations:
-                        where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
                         violations.append({**v, **where, **side.extra(k2, v, p)})
-                    if not allow_reversed:
-                        cases += 1
-                        _check_map_heights(lmap, p, violations)
+                    violations += found
     return cases, violations, []
 
 
@@ -709,7 +687,7 @@ SUITES = {
     "lengths": _sweep(_strict_upto, _lengths),
     "signs": _sweep(_strict_upto, _signs),
     "sizes": _sweep(_strict_upto, _sizes),
-    "pairing": _sweep(_strict_upto, _pairing),
+    "pairing": _sweep(_cocores_upto, _pairing),
     "tau_oracle": _suite_tau_oracle,
     "little": _suite_little,
     "phi": _sweep(_strict_upto, _phi, gens=True),

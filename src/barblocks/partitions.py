@@ -225,6 +225,16 @@ def _gen_strict(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _gen_odd_strict(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    if n == 0:
+        yield ()
+        return
+    top = min(n, max_part)
+    for first in range(top - 1 + top % 2, 0, -2):
+        for rest in _gen_odd_strict(n - first, first - 2):
+            yield (first,) + rest
+
+
 def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
     """Yield each qualifying partition of n once, in lexicographic descending order.
 
@@ -240,14 +250,10 @@ def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
             yield BarPartition(parts)
     elif kind == "self_conjugate":
         # self-conjugate partitions of n <-> sets of distinct odd diagonal
-        # hook lengths summing to n
-        found = []
-        for hooks in _gen_strict(n, n):
-            if all(h % 2 for h in hooks):
-                arms = tuple((h - 1) // 2 for h in hooks)
-                found.append(FrobeniusSymbol(legs=arms, arms=arms).to_partition())
-        found.sort(key=lambda p: p.parts, reverse=True)
-        yield from found
+        # hook lengths summing to n; descending hooks give descending parts
+        for hooks in _gen_odd_strict(n, n):
+            arms = tuple(h // 2 for h in hooks)
+            yield Partition(_from_frobenius(arms, arms))
     else:
         raise ValueError(f"unknown kind {kind!r}")
 

@@ -33,7 +33,7 @@ from barblocks.characters import (
     height_and_defect,
 )
 from barblocks.cli import _blocks_of, main
-from barblocks.galois import GaloisElement, standard_generators, tau_partition
+from barblocks.galois import GaloisElement, standard_generators, tau_partition, tau_selfconjugate
 from barblocks.humphreys import cocores
 from barblocks.littlewood import bar_decompose, ordinary_decompose
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
@@ -324,6 +324,26 @@ def _extra_part(kind):
     return lambda lam: kind((1000,) + lam.parts)
 
 
+def _doctored_at(n_bad, make):
+    """height_and_defect doctored on the blocks of degree n_bad alone, so that
+    a map between blocks of different degrees sees its two sides disagree."""
+    real = blocks.height_and_defect
+
+    def doctor(members, n, p):
+        found = real(members, n, p)
+        return make(found) if n == n_bad else found
+
+    return "height_and_defect", doctor
+
+
+def _defect_up(found):
+    return found[0] + 1, found[1]
+
+
+def _heights_up(found):
+    return found[0], {label: h + 1 for label, h in found[1].items()}
+
+
 def _flip_oracle_at(m_bad):
     real = blocks.oracle_tau_sqrt
     return "oracle_tau_sqrt", lambda m, *args: (-1 if m == m_bad else 1) * real(m, *args)
@@ -376,8 +396,56 @@ WITNESS_CASES = [
 ]
 
 
+_SPIN_21 = {"partition": [2, 1], "group": "stilde", "flavor": "spin", "variant": "plus"}
+_NONSPIN_21 = {"partition": [2, 1], "group": "atilde", "flavor": "nonspin", "variant": "plus"}
+
+# The bijection, defect and height witnesses of the block maps: phi onto the
+# twisted-product blocks and core replacement on the spin and non-spin sides.
+# At p = 3 the first map of psi and psi_nonspin goes from degree 3 to degree 4.
+MAP_WITNESS_CASES = {
+    "blocks-bijection": (
+        "blocks", 4, _doctored("block_members", lambda members: members[1:]),
+        {"kappa": [], "w": 1, "group": "stilde", "reason": "not a bijection onto the target block"},
+    ),
+    "blocks-height": (
+        "blocks", 4, _doctored("g_height_and_defect", _heights_up),
+        {
+            "kappa": [], "w": 1, "group": "stilde", "label": _SPIN_21,
+            "image": {"mu": [], "nu": [2, 1], "group": "g", "variant": "plus"},
+            "height": 0, "image_height": 1,
+        },
+    ),
+    "psi-defect": (
+        "psi", 4, _doctored_at(4, _defect_up),
+        {"kappa": [], "kappa2": [1], "w": 1, "group": "stilde", "defect": 1, "image_defect": 2},
+    ),
+    "psi-height": (
+        "psi", 4, _doctored_at(4, _heights_up),
+        {
+            "kappa": [], "kappa2": [1], "w": 1, "group": "stilde", "label": _SPIN_21,
+            "image": {**_SPIN_21, "partition": [4]},
+            "height": 0, "image_height": 1,
+        },
+    ),
+    "psi_nonspin-defect": (
+        "psi_nonspin", 5, _doctored_at(4, _defect_up),
+        {"kappa": [], "kappa2": [1], "w": 1, "defect": 1, "image_defect": 2},
+    ),
+    "psi_nonspin-height": (
+        "psi_nonspin", 5, _doctored_at(4, _heights_up),
+        {
+            "kappa": [], "kappa2": [1], "w": 1,
+            "label": _NONSPIN_21, "image": {**_NONSPIN_21, "partition": [2, 2]},
+            "height": 0, "image_height": 1,
+        },
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "suite, bound, doctor, witness", WITNESS_CASES, ids=[case[0] for case in WITNESS_CASES]
+    "suite, bound, doctor, witness",
+    WITNESS_CASES + list(MAP_WITNESS_CASES.values()),
+    ids=[case[0] for case in WITNESS_CASES] + list(MAP_WITNESS_CASES),
 )
 def test_failing_suites_report_exact_witness(monkeypatch, suite, bound, doctor, witness):
     monkeypatch.setattr(blocks, *doctor)
@@ -560,3 +628,60 @@ def test_nonspin_members_at_a_large_prime_are_the_hooks():
     found = {label.partition for label in members}
     assert found | {lam.conjugate() for lam in found} == hooks
     assert len(members) == (p - 1) // 2 + 2  # one label per conjugate pair, two for (505, 1^504)
+
+
+def test_equivariance_check_refuses_no_automorphisms():
+    lmap = phi_map(SpinBlockId(BarPartition(), 1, STILDE, 3))
+    with pytest.raises(ValueError, match="at least one automorphism"):
+        equivariance_check(lmap, [])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pairing_walks_every_cocore(p):
+    """One pairing case per strict partition with an empty bar core, found by
+    removal moves."""
+    strict = (lam for n in range(25) for lam in enumerate_partitions(n, "strict"))
+    expected = sum(1 for lam in strict if not bar_core_by_removal(lam, p))
+    report = verify("pairing", p, 24)
+    assert report.passed
+    assert report.cases == expected
+
+
+SHARPNESS_COUNTS = {  # (maps, p) -> core pairs times w in {1, 2}
+    ("psi", 3): 8, ("psi", 5): 96, ("psi", 7): 260,
+    ("crossing", 3): 8, ("crossing", 5): 48, ("crossing", 7): 134,
+    ("nonspin_psi", 3): 16, ("nonspin_psi", 5): 80, ("nonspin_psi", 7): 168,
+}
+
+
+def test_sigma_tau_filter_is_sharp():
+    """Every core replacement that the suites skip because the sigma_p tau of
+    its cores differ breaks equivariance: same-sign and crossing psi on the
+    symmetric-type blocks over bar cores of size <= 10, and nonspin_psi over
+    self-conjugate cores of size <= 12, at w in {1, 2}."""
+    counts, passing = {}, []
+    for p in (3, 5, 7):
+        fs = standard_generators(p)
+        sigma = GaloisElement.sigma(p)
+        spin, nonspin = bar_cores(p, 10), selfconjugate_cores(p, 12)
+        sides = {
+            "psi": [(a, b) for a in spin for b in spin if a != b and a.sign() == b.sign()],
+            "crossing": [(a, b) for a in spin for b in spin if (a.sign(), b.sign()) == (-1, 1)],
+            "nonspin_psi": [(a, b) for a in nonspin for b in nonspin if a != b],
+        }
+        for maps, pairs in sides.items():
+            tau = tau_selfconjugate if maps == "nonspin_psi" else tau_partition
+            counts[maps, p] = 0
+            for a, b in pairs:
+                if tau(a, sigma) == tau(b, sigma):
+                    continue
+                for w in (1, 2):
+                    counts[maps, p] += 1
+                    if maps == "nonspin_psi":
+                        lmap = nonspin_psi(a, b, w, p)
+                    else:
+                        lmap = psi(SpinBlockId(a, w, STILDE, p), b)
+                    if equivariance_check(lmap, fs).passed:
+                        passing.append((maps, p, a, b, w))
+    assert passing == []
+    assert counts == SHARPNESS_COUNTS

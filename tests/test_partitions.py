@@ -123,9 +123,11 @@ def test_enumerate_strict():
 
 
 def test_enumerate_self_conjugate_matches_filter():
-    for n in range(14):
-        direct = set(enumerate_partitions(n, "self_conjugate"))
-        filtered = {lam for lam in enumerate_partitions(n) if lam.is_self_conjugate()}
+    """The diagonal-hook route yields the self-conjugate partitions of n in
+    descending order, with nothing sorted afterwards."""
+    for n in range(23):
+        direct = list(enumerate_partitions(n, "self_conjugate"))
+        filtered = [lam for lam in enumerate_partitions(n) if lam.is_self_conjugate()]
         assert direct == filtered
     assert list(enumerate_partitions(4, "self_conjugate")) == [Partition([2, 2])]
 
