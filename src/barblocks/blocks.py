@@ -13,25 +13,23 @@ both kinds by one walk over their characteristic vectors (littlewood._cores),
 never by decomposing candidates.
 
 The suites form one table, SUITES, from a name to a function
-(p, bound, w_max) -> (cases, violations, notes).  Most entries are data
-for one of two runners:
+(p, bound, w_max) -> (cases, violations, notes).  ``_sweep`` owns the only loop
+over a suite's cases: it pairs a domain (bound, p, w_max) -> elements with a
+check of one element that returns (cases, witnesses).  The domains are the
+strict partitions up to the bound, the cocores among them, the self-conjugate
+ones, m in 1..bound, the spin blocks over the p-bar cores (``blocks``), the
+weight-one G/G+ blocks (``census``) and the pairs of related cores with
+matching sigma_p tau (``_core_pairs``, for the core-replacement suites, where
+a side, spin or non-spin, gives the cores, the map and the extra witness
+fields).  ``blocks`` and core replacement check every map through
+``_check_map``: a bijection onto the target block that keeps the defect and
+every height.
 
-* ``_sweep`` pairs a domain (the strict partitions up to the bound, the
-  cocores among them, the self-conjugate ones, or m in 1..bound) with a
-  check of one element that returns (cases, witnesses);
-* ``_replace_cores`` pairs a side (spin or non-spin: its cores, the map and
-  the extra witness fields) with the relation between source and target
-  cores and the groups to map.
-
-``blocks`` and ``_replace_cores`` check every map through ``_check_map``: a
-bijection onto the target block that keeps the defect and every height.
-
-``little``, ``tau_oracle``, ``blocks``, ``census`` and ``crossing_fails`` are
-plain functions in the same table; ``little`` and ``tau_oracle`` prepare what
-every element shares once per sweep and then run ``_sweep``.  Every domain is
-walked in a fixed order and every witness is a dict whose keys and key order
-are part of the report, so reports are byte-stable.  Witnesses are built only
-when a check fails.
+``little``, ``tau_oracle`` and ``crossing_fails`` run ``_sweep`` once and add
+only what every element shares or the notes.  Every domain is walked in a
+fixed order and every witness is a dict whose keys and key order are part of
+the report, so reports are byte-stable.  Witnesses are built only when a check
+fails.
 
 Library functions are looked up by their module-global names when they are
 called, never stored in the table at import time.  A wrapper that rebinds such
@@ -303,11 +301,16 @@ def _core_tau(kappa, f: GaloisElement) -> int:
 def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     """Compare the permutation sign of every automorphism on each associate
     pair with the sign on its image; self-associate labels must map to
-    self-associate labels."""
+    self-associate labels.  The automorphisms must share one prime, the
+    source block's p when the map has a source."""
     fs = tuple(fs)
     if not fs:
         raise ValueError("need at least one automorphism")
     p = fs[0].p
+    if any(f.p != p for f in fs):
+        raise ValueError(f"automorphisms of different primes: {sorted({f.p for f in fs})}")
+    if getattr(lmap.source, "p", p) != p:
+        raise ValueError(f"automorphisms of p={p} on a block of p={lmap.source.p}")
     violations = []
     cases = 0
     for src, dst in lmap.pairs:
@@ -344,35 +347,35 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     return VerificationReport("equivariance", p, 0, cases, tuple(violations), tuple(notes))
 
 
-def _strict_upto(bound: int, p: int):
+def _strict_upto(bound: int, p: int, w_max: int):
     for n in range(bound + 1):
         yield from strict_partitions_of(n)
 
 
-def _cocores_upto(bound: int, p: int):
+def _cocores_upto(bound: int, p: int, w_max: int):
     for w in range(bound // p + 1):
         yield from cocores(w, p)
 
 
-def _selfconjugate_upto(bound: int, p: int):
+def _selfconjugate_upto(bound: int, p: int, w_max: int):
     for n in range(bound + 1):
         yield from enumerate_partitions(n, "self_conjugate")
 
 
-def _m_upto(bound: int, p: int):
+def _m_upto(bound: int, p: int, w_max: int):
     return range(1, bound + 1)
 
 
 def _sweep(domain, check, gens=False):
     """The suite (p, bound, w_max) that runs check(x, p, fs) -> (cases,
-    witnesses) on every x of domain(bound, p).  With gens, fs is the standard
-    generators of p, built once per sweep; otherwise it is None, so that a
-    check that reads no generators costs none at a large p."""
+    witnesses) on every x of domain(bound, p, w_max).  With gens, fs is the
+    standard generators of p, built once per sweep; otherwise it is None, so
+    that a check that reads no generators costs none at a large p."""
 
     def run(p, bound, w_max):
         fs = standard_generators(p) if gens else None
         cases, violations = 0, []
-        for x in domain(bound, p):
+        for x in domain(bound, p, w_max):
             n, found = check(x, p, fs)
             cases += n
             violations.extend(found)
@@ -527,9 +530,9 @@ def _tau_nonspin(lam, p, fs):
     return len(fs), found
 
 
-def _suite_blocks(p, bound, w_max):
-    violations = []
-    cases = 0
+def _spin_blocks(bound, p, w_max):
+    """Every spin block over a p-bar core of size <= bound with 1 <= w <=
+    w_max, paired with the defect of the empty-core block of its weight."""
     baseline = {}
     for w in range(1, w_max + 1):
         empty = SpinBlockId(BarPartition(), w, STILDE, p)
@@ -537,36 +540,32 @@ def _suite_blocks(p, bound, w_max):
     for kappa in bar_cores(p, bound):
         for w in range(1, w_max + 1):
             for group in (STILDE, ATILDE):
-                cases += 1
-                where = {"kappa": kappa.to_json(), "w": w, "group": group}
-                defect, found = _check_map(phi_map(SpinBlockId(kappa, w, group, p)), where, p)
-                violations += found
-                if defect is not None and defect != baseline[w]:
-                    violations.append(
-                        {
-                            **where,
-                            "defect": defect,
-                            "empty_core_defect": baseline[w],
-                            "reason": "defect varies with core",
-                        }
-                    )
-    return cases, violations, []
+                yield SpinBlockId(kappa, w, group, p), baseline[w]
 
 
-def _suite_census(p, bound, w_max):
-    violations = []
-    cases = 0
+def _blocks(x, p, fs):
+    block, baseline = x
+    where = {"kappa": block.kappa.to_json(), "w": block.w, "group": block.group}
+    defect, found = _check_map(phi_map(block), where, p)
+    if defect is not None and defect != baseline:
+        reason = "defect varies with core"
+        found.append({**where, "defect": defect, "empty_core_defect": baseline, "reason": reason})
+    return 1, found
+
+
+def _weight_one_g_blocks(bound, p, w_max):
     for kappa in bar_cores(p, bound):
-        plus_sign = kappa.sign() == 1
-        want = {G: p if plus_sign else (p + 3) // 2, GPLUS: (p + 3) // 2 if plus_sign else p}
         for ggroup in (G, GPLUS):
-            cases += 1
-            got = len(block_members(GBlockId(kappa, 1, ggroup, p)))
-            if got != want[ggroup]:
-                violations.append(
-                    {"kappa": kappa.to_json(), "group": ggroup, "count": got, "expected": want[ggroup]}
-                )
-    return cases, violations, []
+            yield GBlockId(kappa, 1, ggroup, p)
+
+
+def _census(block, p, fs):
+    """p members when the core's sign is 1 for G or -1 for G+, else (p+3)/2."""
+    got = len(block_members(block))
+    want = p if (block.kappa.sign() == 1) == (block.group == G) else (p + 3) // 2
+    if got == want:
+        return 1, ()
+    return 1, [{"kappa": block.kappa.to_json(), "group": block.group, "count": got, "expected": want}]
 
 
 def _check_map(lmap, where, p, heights=True):
@@ -606,7 +605,7 @@ def _check_map(lmap, where, p, heights=True):
 
 @dataclass(frozen=True)
 class _Side:
-    """What the core-replacement runner needs to know of the spin or the
+    """What the core-replacement suites need to know of the spin or the
     non-spin blocks.  The fields are lambdas so that every call looks the
     library function up by its module-global name."""
 
@@ -630,44 +629,44 @@ _NONSPIN = _Side(
 )
 
 
-def _replace_cores(p, bound, w_max, side, related, groups, allow_reversed=False):
-    """Map every block over k1 to the block over k2, for each pair of distinct
-    related cores with matching sigma_p tau, and check that the map is a
-    bijection, Galois-equivariant and, unless reversed, height-preserving.
-    A group of None marks the non-spin blocks, whose witnesses carry none;
-    the equivariance witnesses never carry one."""
-    fs = standard_generators(p)
+def _core_pairs(bound, p, w_max, side, related, groups):
+    """(k1, k2, w, group) for each pair of related cores with matching
+    sigma_p tau, each weight 1..w_max and each group."""
     sigma = GaloisElement.sigma(p)
     cores = side.cores(p, bound)
-    cases, violations = 0, []
     for k1 in cores:
         for k2 in cores:
-            if not related(k1, k2) or _core_tau(k1, sigma) != _core_tau(k2, sigma):
-                continue
-            for w in range(1, w_max + 1):
-                for group in groups:
-                    lmap = side.replace(k1, k2, w, group, p, allow_reversed)
-                    where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
-                    block = where if group is None else {**where, "group": group}
-                    defect, found = _check_map(lmap, block, p, heights=not allow_reversed)
-                    cases += 1
-                    if defect is None and found:  # not a bijection
-                        violations += found
-                        continue
-                    report = equivariance_check(lmap, fs)
-                    cases += report.cases + (not allow_reversed)
-                    for v in report.violations:
-                        violations.append({**v, **where, **side.extra(k2, v, p)})
-                    violations += found
-    return cases, violations, []
+            if related(k1, k2) and _core_tau(k1, sigma) == _core_tau(k2, sigma):
+                for w in range(1, w_max + 1):
+                    for group in groups:
+                        yield k1, k2, w, group
+
+
+def _replace_core(x, p, fs, side, allow_reversed):
+    """Check the map from the block over k1 to the block over k2: bijective,
+    Galois-equivariant and, unless reversed, height-preserving.  Only its own
+    witnesses carry the group (None on the non-spin side)."""
+    k1, k2, w, group = x
+    lmap = side.replace(k1, k2, w, group, p, allow_reversed)
+    where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
+    block = where if group is None else {**where, "group": group}
+    defect, found = _check_map(lmap, block, p, heights=not allow_reversed)
+    if defect is None and found:  # not a bijection
+        return 1, found
+    report = equivariance_check(lmap, fs)
+    witnesses = [{**v, **where, **side.extra(k2, v, p)} for v in report.violations]
+    return 1 + report.cases + (not allow_reversed), witnesses + found
+
+
+def _core_replacement(side, related, groups, allow_reversed=False):
+    pairs = partial(_core_pairs, side=side, related=related, groups=groups)
+    return _sweep(pairs, partial(_replace_core, side=side, allow_reversed=allow_reversed), gens=True)
 
 
 def _suite_crossing_fails(p, bound, w_max):
-    cases, violations, _ = _replace_cores(
-        p, bound, w_max, _SPIN, _reversed_crossing, (STILDE,), allow_reversed=True
-    )
-    notes = [f"expected: violations iff p = 3 mod 4 (here p % 4 = {p % 4})"]
-    return cases, violations, notes
+    suite = _core_replacement(_SPIN, _reversed_crossing, (STILDE,), allow_reversed=True)
+    cases, violations, _ = suite(p, bound, w_max)
+    return cases, violations, [f"expected: violations iff p = 3 mod 4 (here p % 4 = {p % 4})"]
 
 
 def _same_sign(k1, k2):
@@ -692,14 +691,14 @@ SUITES = {
     "little": _suite_little,
     "phi": _sweep(_strict_upto, _phi, gens=True),
     "valuation": _sweep(_strict_upto, _valuation),
-    "blocks": _suite_blocks,
-    "census": _suite_census,
-    "psi": partial(_replace_cores, side=_SPIN, related=_same_sign, groups=(STILDE, ATILDE)),
-    "crossing": partial(_replace_cores, side=_SPIN, related=_crossing, groups=(STILDE,)),
+    "blocks": _sweep(_spin_blocks, _blocks),
+    "census": _sweep(_weight_one_g_blocks, _census),
+    "psi": _core_replacement(_SPIN, _same_sign, (STILDE, ATILDE)),
+    "crossing": _core_replacement(_SPIN, _crossing, (STILDE,)),
     "crossing_fails": _suite_crossing_fails,
     "tau_nonspin": _sweep(_selfconjugate_upto, _tau_nonspin, gens=True),
     "durfee": _sweep(_selfconjugate_upto, _durfee),
-    "psi_nonspin": partial(_replace_cores, side=_NONSPIN, related=operator.ne, groups=(None,)),
+    "psi_nonspin": _core_replacement(_NONSPIN, operator.ne, (None,)),
 }
 
 

@@ -114,6 +114,8 @@ def bar_hook_lengths(lam: BarPartition) -> tuple[int, ...]:
 
 
 def nu_p(n: int, p: int) -> int:
+    if p < 2:  # the loop would never end at p = 1 or -1
+        raise ValueError(f"p must be at least 2, got {p}")
     if n == 0:
         raise ValueError("0 has no p-valuation")
     v = 0
@@ -124,6 +126,8 @@ def nu_p(n: int, p: int) -> int:
 
 
 def nu_p_factorial(n: int, p: int) -> int:
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     v = 0
     q = p
     while q <= n:

@@ -169,6 +169,15 @@ def test_equivariance_check_detects_mismatch():
     assert report.violations[0]["reason"] == "variant mismatch"
 
 
+def test_equivariance_check_refuses_automorphisms_of_another_prime():
+    lmap = phi_map(SpinBlockId(BarPartition(), 1, STILDE, 3))
+    with pytest.raises(ValueError, match="p=5 on a block of p=3"):
+        equivariance_check(lmap, [GaloisElement(5)])
+    with pytest.raises(ValueError, match=r"different primes: \[3, 5\]"):
+        equivariance_check(lmap, [GaloisElement(3), GaloisElement(5)])
+    assert equivariance_check(lmap, standard_generators(3)).passed
+
+
 def test_nonspin_block_members():
     kappa = Partition([1])
     block = NonSpinBlockId(kappa, 1, 3)

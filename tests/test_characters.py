@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,29 @@ def test_valuation_helpers():
     assert nu_p_factorial(0, 3) == 0
     with pytest.raises(ValueError):
         nu_p(0, 3)
+
+
+def test_valuations_refuse_p_below_2():
+    """Every valuation and height goes through nu_p and nu_p_factorial, whose
+    loops never end at p = 1 or -1.  The calls run in a subprocess with a
+    timeout, so a hang fails this test instead of stalling the run."""
+    code = """
+from barblocks.characters import CharLabel, degree_valuation, nu_p, nu_p_factorial
+from barblocks.partitions import BarPartition
+label = CharLabel(BarPartition([2, 1]), "stilde", "spin", "whole")
+calls = (lambda p: degree_valuation(label, p), lambda p: nu_p(9, p), lambda p: nu_p_factorial(3, p))
+for p in (1, 0, -1, -3):
+    for call in calls:
+        try:
+            call(p)
+        except ValueError as exc:
+            assert f"got {p}" in str(exc), exc
+        else:
+            raise SystemExit(f"p={p} accepted")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_degree_valuation_examples():

@@ -227,6 +227,17 @@ def test_tau_partition_against_oracle():
                     assert tau_partition(lam, f) == oracle_tau_surd(diff_value(lam), f)
 
 
+def test_tau_selfconjugate_against_oracle():
+    """Every self-conjugate partition of size <= 40 under every element with
+    e <= 2: 50,592 comparisons with the exact route."""
+    lams = [lam for n in range(41) for lam in enumerate_partitions(n, "self_conjugate")]
+    for p in (3, 5, 7, 11, 13):
+        for f in (GaloisElement(p, e, s) for e in (0, 1, 2) for s in range(1, p)):
+            for lam in lams:
+                exact = oracle_tau_surd(selfconjugate_diff_value(lam), f)
+                assert tau_selfconjugate(lam, f) == exact, (lam, f)
+
+
 @pytest.mark.parametrize(
     "make",
     [

@@ -4,7 +4,8 @@ hypothesis (an optional test dependency, see the ``test`` extra) draws strict,
 ordinary and self-conjugate partitions of size 100-500 and lopsided ones with
 a single part up to 10**6.  Cores are compared with the removal-based routes
 of tests/oracles.py; every draw also checks the round trip through
-reconstruct and the size, length, sign and Durfee identities.
+reconstruct and the size, length, sign and Durfee identities, and every strict
+draw compares the twisted abacus of abacus.py with the engine's record.
 """
 
 import pytest
@@ -13,13 +14,19 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from barblocks.abacus import BarAbacus  # noqa: E402
 from barblocks.littlewood import (  # noqa: E402
     bar_decompose,
     bar_reconstruct,
     ordinary_decompose,
     ordinary_reconstruct,
 )
-from barblocks.partitions import BarPartition, Partition, from_frobenius  # noqa: E402
+from barblocks.partitions import (  # noqa: E402
+    BarPartition,
+    Partition,
+    enumerate_partitions,
+    from_frobenius,
+)
 from oracles import bar_core_by_removal, p_core_by_hook_removal  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -66,6 +73,13 @@ def _check_bar(lam, t):
     assert lam.size == dec.core.size + t * dec.weight
     assert lam.length == dec.core.length + dec.cocore.length - 2 * dec.d
     assert lam.sign() == dec.core.sign() * dec.cocore.sign()
+    # The abacus view places parts with its own push and pull steps on
+    # frozensets; the engine works on int tuples.
+    tw = BarAbacus.from_partition(lam, t).twist()
+    pointed = [runner.normalize() for runner in tw.shifted]
+    assert BarPartition(sorted(tw.runner0, reverse=True)) == dec.quotient[0]
+    assert tuple(c for _, c in pointed) == dec.charvec
+    assert tuple(runner.to_partition() for runner, _ in pointed) == dec.quotient[1:]
     return dec
 
 
@@ -81,6 +95,14 @@ def _check_ordinary(lam, p):
 @given(partitions_of(st.integers(100, 500), strict=True), MODULI)
 def test_strict_partitions(lam, t):
     assert _check_bar(lam, t).core == bar_core_by_removal(lam, t)
+
+
+def test_strict_partitions_exhaustively():
+    """All 5,424 pairs of a strict partition of size <= 25 and an odd t <= 13."""
+    for t in (3, 5, 7, 9, 11, 13):
+        for n in range(26):
+            for lam in enumerate_partitions(n, "strict"):
+                _check_bar(lam, t)
 
 
 @PROPERTY
