@@ -111,10 +111,6 @@ class FencedRunner:
     def to_json(self) -> dict:
         return {"above": sorted(self.black_above), "below": sorted(self.white_below)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FencedRunner":
-        return cls(frozenset(data["above"]), frozenset(data["below"]))
-
 
 def reference_runner(m: int) -> FencedRunner:
     """Runner with the first m above slots blackened (m > 0) or the first -m
@@ -150,7 +146,7 @@ class BarAbacus:
     def from_partition(cls, lam: BarPartition, t: int) -> "BarAbacus":
         t = _check_t(t)
         runners = [set() for _ in range(t)]
-        for part in lam:
+        for part in BarPartition(lam):
             runners[part % t].add(part // t)
         return cls(t, tuple(frozenset(r) for r in runners))
 
@@ -170,10 +166,6 @@ class BarAbacus:
 
     def to_json(self) -> dict:
         return {"t": self.t, "runners": [sorted(r) for r in self.runners]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BarAbacus":
-        return cls(data["t"], tuple(frozenset(r) for r in data["runners"]))
 
 
 @dataclass(frozen=True)
@@ -214,14 +206,6 @@ class TwistedBarAbacus:
             "runner0": sorted(self.runner0),
             "shifted": [fr.to_json() for fr in self.shifted],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TwistedBarAbacus":
-        return cls(
-            data["t"],
-            frozenset(data["runner0"]),
-            tuple(FencedRunner.from_json(d) for d in data["shifted"]),
-        )
 
 
 def _render_plain(a: BarAbacus) -> str:

@@ -272,17 +272,6 @@ class VerificationReport:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "VerificationReport":
-        return cls(
-            data["suite"],
-            data["p"],
-            data["bound"],
-            data["cases"],
-            tuple(data["violations"]),
-            tuple(data["notes"]),
-        )
-
 
 def _tau_of(label, f: GaloisElement) -> int:
     if isinstance(label, GCharLabel):
@@ -366,17 +355,14 @@ def _m_upto(bound: int, p: int, w_max: int):
     return range(1, bound + 1)
 
 
-def _sweep(domain, check, gens=False):
-    """The suite (p, bound, w_max) that runs check(x, p, fs) -> (cases,
-    witnesses) on every x of domain(bound, p, w_max).  With gens, fs is the
-    standard generators of p, built once per sweep; otherwise it is None, so
-    that a check that reads no generators costs none at a large p."""
+def _sweep(domain, check):
+    """The suite (p, bound, w_max) that runs check(x, p) -> (cases,
+    witnesses) on every x of domain(bound, p, w_max)."""
 
     def run(p, bound, w_max):
-        fs = standard_generators(p) if gens else None
         cases, violations = 0, []
         for x in domain(bound, p, w_max):
-            n, found = check(x, p, fs)
+            n, found = check(x, p)
             cases += n
             violations.extend(found)
         return cases, violations, []
@@ -389,7 +375,7 @@ def _witness(lam, **fields) -> dict:
     return {"lambda": lam.to_json(), **fields}
 
 
-def _roundtrips(lam, p, fs):
+def _roundtrips(lam, p):
     reasons = []
     if lam.frobenius().to_partition() != Partition(lam.parts):
         reasons.append("frobenius round trip")
@@ -404,7 +390,7 @@ def _roundtrips(lam, p, fs):
     return 1, [_witness(lam, reason=reason) for reason in reasons]
 
 
-def _lengths(lam, p, fs):
+def _lengths(lam, p):
     dec = bar_decompose(lam, p)
     if lam.length == dec.core.length + dec.cocore.length - 2 * dec.d:
         return 1, ()
@@ -412,7 +398,7 @@ def _lengths(lam, p, fs):
     return 1, [_witness(lam, length=lam.length, core_length=core, cocore_length=cocore, d=dec.d)]
 
 
-def _signs(lam, p, fs):
+def _signs(lam, p):
     dec = bar_decompose(lam, p)
     if lam.sign() == dec.core.sign() * dec.cocore.sign():
         return 1, ()
@@ -420,14 +406,14 @@ def _signs(lam, p, fs):
     return 1, [_witness(lam, sign=lam.sign(), core_sign=core, cocore_sign=cocore)]
 
 
-def _sizes(lam, p, fs):
+def _sizes(lam, p):
     dec = bar_decompose(lam, p)
     if lam.size == dec.core.size + p * dec.weight:
         return 1, ()
     return 1, [_witness(lam, size=lam.size, core_size=dec.core.size, weight=dec.weight)]
 
 
-def _durfee(lam, p, fs):
+def _durfee(lam, p):
     dec = ordinary_decompose(lam, p)
     if lam.durfee() == dec.core.durfee() + dec.cocore.durfee() - 2 * dec.d:
         return 1, ()
@@ -435,7 +421,7 @@ def _durfee(lam, p, fs):
     return 1, [_witness(lam, durfee=lam.durfee(), core_durfee=core, cocore_durfee=cocore, d=dec.d)]
 
 
-def _pairing(lam, p, fs):
+def _pairing(lam, p):
     pairs = paired_parts(lam, p)
     found = []
     if sorted(x for pair in pairs for x in pair) != sorted(x for x in lam if x % p):
@@ -447,7 +433,7 @@ def _pairing(lam, p, fs):
 def _suite_tau_oracle(p, bound, w_max):
     elements = [GaloisElement(p, e, s) for e in (0, 1, 2) for s in range(1, p)]
 
-    def check(m, p, fs):
+    def check(m, p):
         found = []
         for f in elements:
             closed, exact = tau_sqrt(m, f), oracle_tau_sqrt(m, f)
@@ -464,7 +450,7 @@ def _suite_little(p, bound, w_max):
     eps = -1 if p % 4 == 3 else 1
     counts = {"i": 0, "ii": 0, "iii": 0}
 
-    def check(lam, p, fs):
+    def check(lam, p):
         dec = bar_decompose(lam, p)
         t_core = tau_partition(dec.core, sigma)
         t_cocore = tau_partition(dec.cocore, sigma)
@@ -488,7 +474,7 @@ def _suite_little(p, bound, w_max):
     return cases, violations, notes
 
 
-def _phi(lam, p, fs):
+def _phi(lam, p):
     cases, found = 0, []
     for group in (STILDE, ATILDE):
         for label in classify(lam, group, SPIN):
@@ -499,14 +485,14 @@ def _phi(lam, p, fs):
             if phi_inverse(glabel, p) != label:
                 found.append({"label": label.to_json(), "reason": "inverse"})
             if label.variant == "plus":
-                for f in fs:
+                for f in standard_generators(p):
                     cases += 1
                     if label_tau(label, f) != tau_g(glabel, f):
                         found.append({"label": label.to_json(), "f": f.to_json(), "reason": "tau"})
     return cases, found
 
 
-def _valuation(lam, p, fs):
+def _valuation(lam, p):
     dec = bar_decompose(lam, p)
     if dec.core.size >= p:
         return 0, ()
@@ -519,8 +505,9 @@ def _valuation(lam, p, fs):
     return 1, [_witness(lam, valuation=val, image_valuation=gval, cocore_valuation=cocore_val)]
 
 
-def _tau_nonspin(lam, p, fs):
+def _tau_nonspin(lam, p):
     dec = ordinary_decompose(lam, p)
+    fs = standard_generators(p)
     found = []
     for f in fs:
         lhs = tau_selfconjugate(lam, f)
@@ -543,7 +530,7 @@ def _spin_blocks(bound, p, w_max):
                 yield SpinBlockId(kappa, w, group, p), baseline[w]
 
 
-def _blocks(x, p, fs):
+def _blocks(x, p):
     block, baseline = x
     where = {"kappa": block.kappa.to_json(), "w": block.w, "group": block.group}
     defect, found = _check_map(phi_map(block), where, p)
@@ -559,7 +546,7 @@ def _weight_one_g_blocks(bound, p, w_max):
             yield GBlockId(kappa, 1, ggroup, p)
 
 
-def _census(block, p, fs):
+def _census(block, p):
     """p members when the core's sign is 1 for G or -1 for G+, else (p+3)/2."""
     got = len(block_members(block))
     want = p if (block.kappa.sign() == 1) == (block.group == G) else (p + 3) // 2
@@ -642,7 +629,7 @@ def _core_pairs(bound, p, w_max, side, related, groups):
                         yield k1, k2, w, group
 
 
-def _replace_core(x, p, fs, side, allow_reversed):
+def _replace_core(x, p, side, allow_reversed):
     """Check the map from the block over k1 to the block over k2: bijective,
     Galois-equivariant and, unless reversed, height-preserving.  Only its own
     witnesses carry the group (None on the non-spin side)."""
@@ -653,14 +640,14 @@ def _replace_core(x, p, fs, side, allow_reversed):
     defect, found = _check_map(lmap, block, p, heights=not allow_reversed)
     if defect is None and found:  # not a bijection
         return 1, found
-    report = equivariance_check(lmap, fs)
+    report = equivariance_check(lmap, standard_generators(p))
     witnesses = [{**v, **where, **side.extra(k2, v, p)} for v in report.violations]
     return 1 + report.cases + (not allow_reversed), witnesses + found
 
 
 def _core_replacement(side, related, groups, allow_reversed=False):
     pairs = partial(_core_pairs, side=side, related=related, groups=groups)
-    return _sweep(pairs, partial(_replace_core, side=side, allow_reversed=allow_reversed), gens=True)
+    return _sweep(pairs, partial(_replace_core, side=side, allow_reversed=allow_reversed))
 
 
 def _suite_crossing_fails(p, bound, w_max):
@@ -689,14 +676,14 @@ SUITES = {
     "pairing": _sweep(_cocores_upto, _pairing),
     "tau_oracle": _suite_tau_oracle,
     "little": _suite_little,
-    "phi": _sweep(_strict_upto, _phi, gens=True),
+    "phi": _sweep(_strict_upto, _phi),
     "valuation": _sweep(_strict_upto, _valuation),
     "blocks": _sweep(_spin_blocks, _blocks),
     "census": _sweep(_weight_one_g_blocks, _census),
     "psi": _core_replacement(_SPIN, _same_sign, (STILDE, ATILDE)),
     "crossing": _core_replacement(_SPIN, _crossing, (STILDE,)),
     "crossing_fails": _suite_crossing_fails,
-    "tau_nonspin": _sweep(_selfconjugate_upto, _tau_nonspin, gens=True),
+    "tau_nonspin": _sweep(_selfconjugate_upto, _tau_nonspin),
     "durfee": _sweep(_selfconjugate_upto, _durfee),
     "psi_nonspin": _core_replacement(_NONSPIN, operator.ne, (None,)),
 }

@@ -28,6 +28,16 @@ _VARIANTS = (WHOLE, PLUS, MINUS)
 
 @dataclass(frozen=True)
 class CharLabel:
+    """One irreducible character: a partition (strict for spin labels), the
+    group, the flavor and the variant (whole, plus or minus).
+
+    The constructor checks each field alone, not the variant against the
+    partition; ``classify`` is the source of valid labels.  ``psi`` and
+    ``nonspin_psi`` build candidate images with it on purpose, so that
+    ``blocks._check_map`` can report a map that leaves its target block
+    instead of failing while the map is built.
+    """
+
     partition: Partition
     group: str
     flavor: str
@@ -53,11 +63,6 @@ class CharLabel:
             "flavor": self.flavor,
             "variant": self.variant,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CharLabel":
-        kind = BarPartition if data["flavor"] == SPIN else Partition
-        return cls(kind(data["partition"]), data["group"], data["flavor"], data["variant"])
 
 
 @dataclass(frozen=True)

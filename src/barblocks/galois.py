@@ -132,11 +132,8 @@ class GaloisElement:
     def to_json(self) -> dict:
         return {"p": self.p, "e": self.e, "s": self.s}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GaloisElement":
-        return cls(data["p"], data["e"], data["s"])
 
-
+@lru_cache(maxsize=None)
 def standard_generators(p: int) -> tuple[GaloisElement, ...]:
     """sigma_p together with every automorphism trivial on p'-roots."""
     return (GaloisElement.sigma(p),) + tuple(
@@ -374,7 +371,7 @@ def _oracle_tau_gauss(q: int, f: GaloisElement) -> int:
     return _gauss_sign(q, f.s % q if q == f.p else pow(f.p, f.e, q))
 
 
-def oracle_tau_sqrt(m: int, f: GaloisElement, bound: int = ORACLE_MAX_M) -> int:
+def oracle_tau_sqrt(m: int, f: GaloisElement) -> int:
     """Exact-arithmetic evaluation of the sign by which f scales sqrt(m).
 
     sqrt(m) is expressed, up to a rational factor, as a product of
@@ -383,8 +380,8 @@ def oracle_tau_sqrt(m: int, f: GaloisElement, bound: int = ORACLE_MAX_M) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if m > bound:
-        raise ValueError(f"m = {m} exceeds the oracle bound {bound}")
+    if m > ORACLE_MAX_M:
+        raise ValueError(f"m = {m} exceeds the oracle bound {ORACLE_MAX_M}")
     sign = 1
     for q, k in _factorize(m).items():
         if k % 2 == 0:

@@ -58,12 +58,6 @@ class GCharLabel:
             "variant": self.variant,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "GCharLabel":
-        return cls(
-            BarPartition(data["mu"]), BarPartition(data["nu"]), data["group"], data["variant"]
-        )
-
 
 @dataclass(frozen=True)
 class GBlockId:

@@ -53,13 +53,6 @@ class _Record:
             "d": self.d,
         }
 
-    @classmethod
-    def _read(cls, data: dict, m: int, label: type, head: int):
-        q = data["quotient"]
-        quotient = tuple(map(BarPartition, q[:head])) + tuple(map(Partition, q[head:]))
-        core, cocore = label(data["core"]), label(data["cocore"])
-        return cls(m, core, quotient, tuple(data["charvec"]), data["weight"], cocore, data["d"])
-
 
 @dataclass(frozen=True)
 class BarLittlewood(_Record):
@@ -73,10 +66,6 @@ class BarLittlewood(_Record):
     cocore: BarPartition
     d: int
 
-    @classmethod
-    def from_json(cls, data: dict, t: int) -> "BarLittlewood":
-        return cls._read(data, t, BarPartition, head=1)
-
 
 @dataclass(frozen=True)
 class OrdinaryLittlewood(_Record):
@@ -89,10 +78,6 @@ class OrdinaryLittlewood(_Record):
     weight: int
     cocore: Partition
     d: int
-
-    @classmethod
-    def from_json(cls, data: dict, p: int) -> "OrdinaryLittlewood":
-        return cls._read(data, p, Partition, head=0)
 
 
 # ---------------------------------------------------------------------------

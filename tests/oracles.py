@@ -1,8 +1,8 @@
 """Independent reference computations used only by the tests.
 
 These deliberately avoid the library's abacus machinery: cores are found by
-repeated removal moves on the raw part lists, and counting checks come from
-direct enumeration.
+repeated removal moves on the raw part lists, and counts come from direct
+recursion or from the coefficients of generating functions.
 """
 
 from barblocks.partitions import BarPartition, Partition
@@ -74,3 +74,26 @@ def count_odd_part_partitions(n: int) -> int:
         return total
 
     return rec(n, n)
+
+
+def multipartition_count(t: int, a: int) -> int:
+    """k(t, a): the number of t-tuples of partitions of total size a, the
+    coefficient of x**a in prod_k (1 - x**k)**(-t)."""
+    ordinary = [1] + [0] * a  # partition numbers 0..a, one part size at a time
+    for k in range(1, a + 1):
+        for m in range(k, a + 1):
+            ordinary[m] += ordinary[m - k]
+    tuples = [1] + [0] * a
+    for _ in range(t):
+        tuples = [sum(tuples[j] * ordinary[m - j] for j in range(m + 1)) for m in range(a + 1)]
+    return tuples[a]
+
+
+def bar_multipartition_count(t: int, a: int) -> int:
+    """kbar(t, a) = sum_j q(j) k((t-1)/2, a-j), for odd t: one strict
+    partition and (t-1)/2 ordinary ones, of total size a.  q(j), the strict
+    partitions of j, is counted as the partitions of j into odd parts (Euler)."""
+    half = (t - 1) // 2
+    return sum(
+        count_odd_part_partitions(j) * multipartition_count(half, a - j) for j in range(a + 1)
+    )

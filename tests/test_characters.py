@@ -29,6 +29,7 @@ from barblocks.galois import GaloisElement, tau_partition, tau_selfconjugate
 from barblocks.humphreys import g_height_and_defect
 from barblocks.littlewood import bar_cocore
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
+from oracles import bar_multipartition_count, count_odd_part_partitions, multipartition_count
 
 
 def test_classify_spin_rules():
@@ -207,6 +208,49 @@ def test_valuations_match_the_product_formulas():
                 assert nonspin_degree_valuation(lam, p) == want, (lam, p)
                 cases += 1
     assert cases == 4764
+
+
+def _digits(n: int, p: int) -> list[int]:
+    """Base-p digits of n, least significant first."""
+    out = []
+    while n:
+        n, a = divmod(n, p)
+        out.append(a)
+    return out
+
+
+def test_macdonald_count_of_p_prime_degrees():
+    """Macdonald (Bull. London Math. Soc. 3, 1971): with n = sum a_i p**i in
+    base p, the partitions of n whose degree p does not divide number
+    prod_i k(p**i, a_i)."""
+    mismatches = []
+    for p in (3, 5, 7):
+        for n in range(26):
+            want = prod(multipartition_count(p**i, a) for i, a in enumerate(_digits(n, p)))
+            got = sum(1 for lam in enumerate_partitions(n) if nonspin_degree_valuation(lam, p) == 0)
+            if got != want:
+                mismatches.append((p, n, got, want))
+    assert mismatches == []
+
+
+def test_spin_count_of_p_prime_degrees():
+    """The spin analogue of Macdonald's count: the strict partitions of n =
+    sum a_i p**i whose spin degree p does not divide number
+    q(a_0) prod_{i>=1} kbar(p**i, a_i), q(a_0) counting the strict (by Euler,
+    the odd-part) partitions of a_0.  This is an identity verified at these
+    bounds, not a cited theorem."""
+    mismatches = []
+    for p in (3, 5, 7, 11, 13):
+        for n in range(46):
+            a = _digits(n, p) or [0]
+            want = count_odd_part_partitions(a[0]) * prod(
+                bar_multipartition_count(p**i, a_i) for i, a_i in enumerate(a) if i
+            )
+            strict = enumerate_partitions(n, "strict")
+            got = sum(1 for lam in strict if spin_degree_valuation(lam, p) == 0)
+            if got != want:
+                mismatches.append((p, n, got, want))
+    assert mismatches == []
 
 
 def test_g_height_and_defect_rejects_empty():

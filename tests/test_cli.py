@@ -123,30 +123,26 @@ def test_verify_exit_codes(capsys):
     assert code == 1  # expected violations but the identity holds
 
 
-def test_json_output_round_trips_through_parsers(capsys):
-    from barblocks.abacus import TwistedBarAbacus
-    from barblocks.blocks import VerificationReport
-    from barblocks.characters import CharLabel
-    from barblocks.littlewood import BarLittlewood, bar_decompose
+def test_json_output_matches_the_library(capsys):
+    from barblocks.abacus import BarAbacus
+    from barblocks.blocks import SpinBlockId, spin_block_members, verify
+    from barblocks.littlewood import bar_decompose
     from barblocks.partitions import BarPartition
 
+    lam = BarPartition([14, 12, 8, 6, 3, 2])
     _, out, _ = run(capsys, "decompose", "--p", "5", "--json", "14,12,8,6,3,2")
-    dec = BarLittlewood.from_json(json.loads(out), 5)
-    assert dec == bar_decompose(BarPartition([14, 12, 8, 6, 3, 2]), 5)
+    assert json.loads(out) == bar_decompose(lam, 5).to_json()
 
     _, out, _ = run(capsys, "abacus", "--p", "5", "--twisted", "--json", "14,12,8,6,3,2")
-    tw = TwistedBarAbacus.from_json(json.loads(out))
-    assert tw.to_partition() == BarPartition([14, 12, 8, 6, 3, 2])
+    assert json.loads(out) == BarAbacus.from_partition(lam, 5).twist().to_json()
 
     _, out, _ = run(capsys, "blocks", "--p", "3", "--n", "4", "--group", "stilde", "--json")
     rec = json.loads(out)[0]["members"][0]
     rec.pop("height")
-    label = CharLabel.from_json(rec)
-    assert label.to_json() == rec
+    assert rec == spin_block_members(SpinBlockId(BarPartition([1]), 1, "stilde", 3))[0].to_json()
 
     _, out, _ = run(capsys, "verify", "signs", "--p", "3", "--max-n", "8", "--json")
-    report = VerificationReport.from_json(json.loads(out))
-    assert report.to_json() == json.loads(out)
+    assert json.loads(out) == verify("signs", 3, 8).to_json()
 
 
 def test_verify_json(capsys):
