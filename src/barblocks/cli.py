@@ -85,25 +85,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _partition_text(args) -> str:
+def _literal(args):
+    """The partition literal of a command: ordinary with --nonspin, strict otherwise."""
     if args.partition_flag is not None and args.partition is not None:
         raise ValueError("give one partition literal, positional or with --partition, not both")
-    if args.partition_flag is not None:
-        return args.partition_flag
-    if args.partition is not None:
-        return args.partition
-    raise ValueError("a partition literal is required")
+    text = args.partition if args.partition_flag is None else args.partition_flag
+    if text is None:
+        raise ValueError("a partition literal is required")
+    return parse_partition(text, strict=not getattr(args, "nonspin", False))
 
 
 def _cmd_decompose(args) -> int:
     from .littlewood import bar_decompose, ordinary_decompose
 
-    if args.nonspin:
-        lam = parse_partition(_partition_text(args))
-        dec = ordinary_decompose(lam, args.p)
-    else:
-        lam = parse_partition(_partition_text(args), strict=True)
-        dec = bar_decompose(lam, args.p)
+    lam = _literal(args)
+    dec = (ordinary_decompose if args.nonspin else bar_decompose)(lam, args.p)
     if args.json:
         print(json.dumps(dec.to_json()))
         return 0
@@ -121,8 +117,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_abacus(args) -> int:
     from .abacus import BarAbacus, render
 
-    lam = parse_partition(_partition_text(args), strict=True)
-    ab = BarAbacus.from_partition(lam, args.p)
+    ab = BarAbacus.from_partition(_literal(args), args.p)
     obj = ab.twist() if args.twisted else ab
     print(json.dumps(obj.to_json()) if args.json else render(obj))
     return 0
@@ -132,24 +127,14 @@ def _cmd_tau(args) -> int:
     from .galois import GaloisElement, tau_partition, tau_selfconjugate
 
     f = GaloisElement(args.p, args.e, args.s)
-    if args.nonspin:
-        lam = parse_partition(_partition_text(args))
-        print(tau_selfconjugate(lam, f))
-    else:
-        lam = parse_partition(_partition_text(args), strict=True)
-        print(tau_partition(lam, f))
+    print((tau_selfconjugate if args.nonspin else tau_partition)(_literal(args), f))
     return 0
 
 
 def _cmd_pairs(args) -> int:
     from .littlewood import paired_parts, selfconjugate_paired_hooks
 
-    if args.nonspin:
-        lam = parse_partition(_partition_text(args))
-        result = selfconjugate_paired_hooks(lam, args.p)
-    else:
-        lam = parse_partition(_partition_text(args), strict=True)
-        result = paired_parts(lam, args.p)
+    result = (selfconjugate_paired_hooks if args.nonspin else paired_parts)(_literal(args), args.p)
     if args.json:
         print(json.dumps([list(pair) for pair in result]))
     else:

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
-from .partitions import BarPartition, Partition
+from .partitions import BarPartition, Partition, _frobenius
 
 ORACLE_MAX_M = 10**6
 
@@ -184,10 +184,6 @@ def _tau_product(two_exp: int, i_exp: int, radicands: Iterable[int], f: GaloisEl
     return sign
 
 
-def tau_surd(v: SurdValue, f: GaloisElement) -> int:
-    return _tau_product(v.two_exp, v.i_exp, (v.radicand,), f)
-
-
 def _diff_exponents(n: int, k: int) -> tuple[int, int]:
     """(two_exp, i_exp) of the difference value of a strict partition of n
     into k parts."""
@@ -209,9 +205,11 @@ def tau_partition(lam: BarPartition, f: GaloisElement) -> int:
 
 
 def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
-    if not lam.is_self_conjugate():
+    """The diagonal hooks 2a+1 of a self-conjugate partition, from one arm/leg walk."""
+    arms, legs = _frobenius(lam.parts)
+    if arms != legs:
         raise ValueError(f"{lam!r} is not self-conjugate")
-    return lam.diagonal_hooks()
+    return tuple(2 * a + 1 for a in arms)
 
 
 def tau_selfconjugate(lam: Partition, f: GaloisElement) -> int:

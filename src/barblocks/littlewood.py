@@ -195,15 +195,13 @@ def _reconstruct(layout: _Layout, core, quotient, m: int):
 
 
 def _depth_first(count: int, choices, budget: int):
-    """Every way to pick one value at each of the positions 0..count-1, in
-    depth-first order, with the budget left after the picks: choices(k, left)
-    lists the (budget left after, value) pairs open at position k.  Yields
-    (picked, left), where picked is one list that the walk goes on to change.
-    Iterative, so count is not bounded by the recursion limit."""
+    """Every way to pick one value at each of the positions 0..count-1
+    (count >= 1), in depth-first order, with the budget left after the
+    picks: choices(k, left) lists the (budget left after, value) pairs open
+    at position k.  Yields (picked, left), where picked is one list that the
+    walk goes on to change.  Iterative, so count is not bounded by the
+    recursion limit."""
     picked = []
-    if not count:
-        yield picked, budget
-        return
     stack = [iter(choices(0, budget))]
     while stack:
         step = next(stack[-1], None)
@@ -234,19 +232,18 @@ def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
     ]
     if layout.head:
         columns.insert(0, [[q.parts for q in _partitions_of(s, "strict")] for s in range(w + 1)])
-    last = len(columns) - 1
-    # choices[k][left]: the (left after, value) pairs open to component k < last
+    # choices[k][left]: the (left after, value) pairs open to component k;
+    # the last component takes exactly the weight that is left
     choices = [
         [[(left - s, value) for s in range(left + 1) for value in column[s]]
          for left in range(w + 1)]
-        for column in columns[:last]
+        for column in columns[:-1]
     ]
+    choices.append([[(0, value) for value in column] for column in columns[-1]])
     labels = []
-    for picked, left in _depth_first(last, lambda k, left: choices[k][left], w):
+    for picked, _ in _depth_first(len(columns), lambda k, left: choices[k][left], w):
         runner0 = picked[0] if layout.head else ()
-        for value in columns[last][left]:
-            runners = picked[layout.head:] + [value]
-            labels.append(layout.label(_label_parts(layout, runner0, runners, m)))
+        labels.append(layout.label(_label_parts(layout, runner0, picked[layout.head:], m)))
     return tuple(sorted(labels, key=lambda lam: lam.parts))
 
 

@@ -91,8 +91,8 @@ class Partition:
 
     def diagonal_hooks(self) -> tuple[int, ...]:
         """Hook lengths of the diagonal boxes, largest first."""
-        fs = self.frobenius()
-        return tuple(a + l + 1 for a, l in zip(fs.arms, fs.legs))
+        arms, legs = _frobenius(self.parts)
+        return tuple(a + l + 1 for a, l in zip(arms, legs))
 
     def hook_lengths(self) -> tuple[int, ...]:
         """All hook lengths of the Young diagram (row by row)."""
@@ -207,32 +207,31 @@ def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
     return FrobeniusSymbol(legs=tuple(legs), arms=tuple(arms)).to_partition()
 
 
-def _gen_all(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_all(n - first, first):
-            yield (first,) + rest
-
-
-def _gen_strict(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_strict(n - first, first - 1):
-            yield (first,) + rest
-
-
-def _gen_odd_strict(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+def _gen(n: int, max_part: int, gap: int, step: int) -> Iterator[tuple[int, ...]]:
+    """Descending part tuples summing to n, parts at most max_part, each part
+    at least gap below the one before; with step 2 every part is odd."""
     if n == 0:
         yield ()
         return
     top = min(n, max_part)
-    for first in range(top - 1 + top % 2, 0, -2):
-        for rest in _gen_odd_strict(n - first, first - 2):
+    for first in range(top - (top + 1) % step, 0, -step):
+        for rest in _gen(n - first, first - gap, gap, step):
             yield (first,) + rest
+
+
+def _selfconjugate(hooks: tuple[int, ...]) -> Partition:
+    arms = tuple(h // 2 for h in hooks)
+    return Partition(_from_frobenius(arms, arms))
+
+
+# kind -> (gap, step, label of a generated tuple).  Self-conjugate partitions
+# of n <-> sets of distinct odd diagonal hook lengths summing to n; descending
+# hooks give descending parts.
+_KINDS = {
+    "all": (0, 1, Partition),
+    "strict": (1, 1, BarPartition),
+    "self_conjugate": (2, 2, _selfconjugate),
+}
 
 
 def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
@@ -242,20 +241,11 @@ def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if kind == "all":
-        for parts in _gen_all(n, n):
-            yield Partition(parts)
-    elif kind == "strict":
-        for parts in _gen_strict(n, n):
-            yield BarPartition(parts)
-    elif kind == "self_conjugate":
-        # self-conjugate partitions of n <-> sets of distinct odd diagonal
-        # hook lengths summing to n; descending hooks give descending parts
-        for hooks in _gen_odd_strict(n, n):
-            arms = tuple(h // 2 for h in hooks)
-            yield Partition(_from_frobenius(arms, arms))
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    gap, step, label = _KINDS[kind]
+    for parts in _gen(n, n, gap, step):
+        yield label(parts)
 
 
 @lru_cache(maxsize=None)

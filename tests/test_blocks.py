@@ -3,10 +3,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import operator
+from types import SimpleNamespace
 
 import pytest
 
 from barblocks import blocks
+from barblocks.abacus import BarAbacus
 from barblocks.blocks import (
     LabelMap,
     NonSpinBlockId,
@@ -36,7 +39,7 @@ from barblocks.cli import _blocks_of, main
 from barblocks.galois import GaloisElement, standard_generators, tau_partition, tau_selfconjugate
 from barblocks.humphreys import cocores
 from barblocks.littlewood import bar_decompose, ordinary_decompose
-from barblocks.partitions import BarPartition, Partition, enumerate_partitions
+from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition, enumerate_partitions
 
 from oracles import bar_core_by_removal, p_core_by_hook_removal
 
@@ -358,8 +361,53 @@ def _flip_oracle_at(m_bad):
     return "oracle_tau_sqrt", lambda m, *args: (-1 if m == m_bad else 1) * real(m, *args)
 
 
+def _negated_where(name, where):
+    """The library function negated on the arguments where holds."""
+    real = getattr(blocks, name)
+    return name, lambda *args: -real(*args) if where(*args) else real(*args)
+
+
+def _other_variant(glabel):
+    other = {"plus": "minus", "minus": "plus"}
+    return dataclasses.replace(glabel, variant=other.get(glabel.variant, glabel.variant))
+
+
+def _other_group(label):
+    return dataclasses.replace(label, group=ATILDE if label.group == STILDE else STILDE)
+
+
+class _EmptyFrobenius(BarPartition):
+    """A strict partition whose Frobenius symbol is always empty."""
+
+    __slots__ = ()
+
+    def frobenius(self):
+        return FrobeniusSymbol((), ())
+
+
+def _abacus_of_another(lam, p):
+    """The abacus of lam plus a part 1000."""
+    return BarAbacus.from_partition(_extra_part(BarPartition)(lam), p)
+
+
+def _twisting_another(lam, p):
+    """The abacus of lam, except that its twist is that of lam plus a part 1000."""
+    ab = BarAbacus.from_partition(lam, p)
+    return SimpleNamespace(to_partition=ab.to_partition, twist=_abacus_of_another(lam, p).twist)
+
+
+def _crossed(pairs):
+    """(a, b), (c, d) -> (a, c), (b, d): the same parts with the wrong partners."""
+    return tuple(zip(*pairs)) if len(pairs) == 2 else pairs
+
+
+_SIGMA_3, _TRIVIAL_3 = GaloisElement.sigma(3), GaloisElement(3, 0, 2)
+_SPIN_EMPTY = {"partition": [], "flavor": "spin"}
+
 # Each suite sees a doctored library function through the name it calls;
-# a suite that held the function itself would not see the change.
+# a suite that held the function itself would not see the change.  The
+# rows of roundtrips' abacus and twist reasons replace BarAbacus by a
+# stand-in with the one method the suite calls.
 WITNESS_CASES = [
     (
         "lengths", 3, _doctored("bar_decompose", _shift_d),
@@ -402,7 +450,75 @@ WITNESS_CASES = [
         "blocks", 4, _doctored("g_height_and_defect", lambda dh: (dh[0] + 1, dh[1])),
         {"kappa": [], "w": 1, "group": "stilde", "defect": 1, "image_defect": 2},
     ),
+    (
+        "roundtrips", 3,
+        _doctored("strict_partitions_of", lambda lams: tuple(map(_EmptyFrobenius, lams))),
+        {"lambda": [1], "reason": "frobenius round trip"},
+    ),
+    (
+        "roundtrips", 3, ("BarAbacus", SimpleNamespace(from_partition=_abacus_of_another)),
+        {"lambda": [], "reason": "abacus round trip"},
+    ),
+    (
+        "roundtrips", 3, ("BarAbacus", SimpleNamespace(from_partition=_twisting_another)),
+        {"lambda": [], "reason": "twist round trip"},
+    ),
+    (
+        "census", 4, _doctored("block_members", lambda members: members[1:]),
+        {"kappa": [], "group": "g", "count": 2, "expected": 3},
+    ),
+    (
+        "phi", 4, _doctored("phi", _other_variant),
+        {"label": {**_SPIN_EMPTY, "group": "atilde", "variant": "plus"}, "reason": "variant"},
+    ),
+    (
+        "phi", 4, _doctored("phi_inverse", _other_group),
+        {"label": {**_SPIN_EMPTY, "group": "stilde", "variant": "whole"}, "reason": "inverse"},
+    ),
+    (
+        "phi", 4, _doctored("tau_g", operator.neg),
+        {
+            "label": {**_SPIN_EMPTY, "group": "atilde", "variant": "plus"},
+            "f": {"p": 3, "e": 1, "s": 1}, "reason": "tau",
+        },
+    ),
+    (
+        "valuation", 4, _doctored("g_degree_valuation", lambda v: v + 1),
+        {"lambda": [], "valuation": 0, "image_valuation": 1, "cocore_valuation": 0},
+    ),
+    (
+        "tau_nonspin", 4, _negated_where("tau_selfconjugate", lambda lam, f: lam.size == 1),
+        {"lambda": [2, 2], "f": {"p": 3, "e": 1, "s": 1}, "tau": 1, "product": -1},
+    ),
+    (
+        "pairing", 4, _doctored("paired_parts", lambda pairs: pairs + ((1, 2),)),
+        {"lambda": [], "pairs": [[1, 2]], "reason": "cover"},
+    ),
+    (
+        "pairing", 12, _doctored("paired_parts", _crossed),
+        {"lambda": [5, 4, 2, 1], "pair": [1, 4], "reason": "sum"},
+    ),
+    (
+        "little", 4, _negated_where("tau_partition", lambda lam, f: (lam.parts, f) == ((1,), _SIGMA_3)),
+        {"lambda": [4], "case": "i", "tau": -1, "tau_core": -1, "tau_cocore": -1},
+    ),
+    (
+        "little", 4, _negated_where("tau_partition", lambda lam, f: (lam.parts, f) == ((1,), _TRIVIAL_3)),
+        {"lambda": [4], "case": "iii", "f": {"p": 3, "e": 0, "s": 2}},
+    ),
 ]
+
+
+def _case_ids(cases):
+    """Each row's suite name; a suite's later rows add the first word of
+    their witness's reason or case, so that every id is unique and the
+    first row of each suite keeps its bare name."""
+    seen, ids = set(), []
+    for suite, _, _, witness in cases:
+        tag = str(witness.get("reason", witness.get("case"))).split()[0]
+        ids.append(f"{suite}-{tag}" if suite in seen else suite)
+        seen.add(suite)
+    return ids
 
 
 _SPIN_21 = {"partition": [2, 1], "group": "stilde", "flavor": "spin", "variant": "plus"}
@@ -454,7 +570,7 @@ MAP_WITNESS_CASES = {
 @pytest.mark.parametrize(
     "suite, bound, doctor, witness",
     WITNESS_CASES + list(MAP_WITNESS_CASES.values()),
-    ids=[case[0] for case in WITNESS_CASES] + list(MAP_WITNESS_CASES),
+    ids=_case_ids(WITNESS_CASES) + list(MAP_WITNESS_CASES),
 )
 def test_failing_suites_report_exact_witness(monkeypatch, suite, bound, doctor, witness):
     monkeypatch.setattr(blocks, *doctor)
@@ -462,6 +578,24 @@ def test_failing_suites_report_exact_witness(monkeypatch, suite, bound, doctor, 
     first = report.violations[0]
     assert first == witness
     assert list(first) == list(witness)
+
+
+def test_blocks_reports_a_defect_that_varies_with_the_core(monkeypatch):
+    """Raising one side's defect trips the map's own defect witness first, so
+    both sides are raised on the blocks of degree 4, over the core [1]."""
+    real_g = blocks.g_height_and_defect
+
+    def g_doctor(members, p):
+        found = real_g(members, p)
+        return _defect_up(found) if members[0].mu.size + members[0].nu.size == 4 else found
+
+    monkeypatch.setattr(blocks, *_doctored_at(4, _defect_up))
+    monkeypatch.setattr(blocks, "g_height_and_defect", g_doctor)
+    report = verify("blocks", 3, 4, w_max=1)
+    assert report.violations[0] == {
+        "kappa": [1], "w": 1, "group": "stilde", "defect": 2, "empty_core_defect": 1,
+        "reason": "defect varies with core",
+    }
 
 
 def test_report_json_schema_and_determinism():

@@ -27,7 +27,14 @@ from barblocks.characters import (
 )
 from barblocks.galois import GaloisElement, tau_partition, tau_selfconjugate
 from barblocks.humphreys import g_height_and_defect
-from barblocks.littlewood import bar_cocore
+from barblocks.littlewood import (
+    _BAR,
+    _ORDINARY,
+    _members,
+    bar_cocore,
+    bar_decompose,
+    ordinary_decompose,
+)
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
 from oracles import bar_multipartition_count, count_odd_part_partitions, multipartition_count
 
@@ -251,6 +258,35 @@ def test_spin_count_of_p_prime_degrees():
             if got != want:
                 mismatches.append((p, n, got, want))
     assert mismatches == []
+
+
+def test_height_zero_count_of_each_block():
+    """Olsson (Math. Scand. 38, 1976): with w = sum w_i p**i in base p, the
+    block (kappa, w) of the symmetric group has prod_i k(p**(i+1), w_i)
+    members of height zero.  The spin analogue, prod_i kbar(p**(i+1), w_i)
+    strict partitions of least spin-degree valuation in a spin block, is an
+    identity verified at these bounds, not a cited theorem.  Members are
+    counted as partitions; they come from the quotients (littlewood._members)
+    and their valuations from hook lengths, so the routes share nothing but
+    the decomposition that names the cores."""
+    kinds = (
+        (_ORDINARY, "all", ordinary_decompose, nonspin_degree_valuation, multipartition_count),
+        (_BAR, "strict", bar_decompose, spin_degree_valuation, bar_multipartition_count),
+    )
+    mismatches, blocks = [], 0
+    for p in (3, 5, 7):
+        for layout, kind, decompose, valuation, count in kinds:
+            cores = [
+                k for n in range(9) for k in enumerate_partitions(n, kind) if not decompose(k, p).weight
+            ]
+            for kappa in cores:
+                for w in range((8 if p == 3 else 4) + 1):
+                    vals = [valuation(lam, p) for lam in _members(layout, kappa.parts, p, w)]
+                    want = prod(count(p ** (i + 1), w_i) for i, w_i in enumerate(_digits(w, p)))
+                    blocks += 1
+                    if vals.count(min(vals)) != want:
+                        mismatches.append((p, kappa, w, vals.count(min(vals)), want))
+    assert (blocks, mismatches) == (695, [])
 
 
 def test_g_height_and_defect_rejects_empty():

@@ -20,7 +20,6 @@ from barblocks.galois import (
     tau_selfconjugate,
     tau_sqrt,
     tau_sqrt2,
-    tau_surd,
 )
 from barblocks.littlewood import bar_decompose, ordinary_decompose
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
@@ -294,9 +293,3 @@ def test_theorem_little_small():
                         dec.core, f
                     ) * tau_partition(dec.cocore, f)
 
-
-def test_tau_surd_is_consistent_with_components():
-    v = SurdValue(1, 3, 30)
-    for f in (GaloisElement.sigma(3), GaloisElement(5, 2, 2), GaloisElement(7, 0, 3)):
-        expect = (tau_sqrt2(f) ** v.two_exp) * (tau_i(f) ** v.i_exp) * tau_sqrt(v.radicand, f)
-        assert tau_surd(v, f) == expect

@@ -73,8 +73,9 @@ def _check_bar(lam, t):
     assert lam.size == dec.core.size + t * dec.weight
     assert lam.length == dec.core.length + dec.cocore.length - 2 * dec.d
     assert lam.sign() == dec.core.sign() * dec.cocore.sign()
-    # The abacus view places parts with its own push and pull steps on
-    # frozensets; the engine works on int tuples.
+    # The abacus view places the beads and twists on frozensets, its own
+    # steps; FencedRunner.normalize goes through FencedRunner.shift, which
+    # is the engine's partitions._shift on int tuples.
     tw = BarAbacus.from_partition(lam, t).twist()
     pointed = [runner.normalize() for runner in tw.shifted]
     assert BarPartition(sorted(tw.runner0, reverse=True)) == dec.quotient[0]
