@@ -2,15 +2,16 @@
 cover, the core-replacing bijections between them, and the exhaustive
 verification suites.
 
-Membership comes from quotients, not from filtering every partition of n.  The
-members of the block (kappa, w) are the reconstructions over kappa of every
-quotient of total weight w: a strict head component and (p-1)/2 ordinary ones
-for a spin block, p ordinary ones for a non-spin block.  The engine in
-littlewood.py builds this list once per (kind, kappa, w, p), and both spin
-groups share it.  The blocks of degree n are those over the p-bar cores kappa
-with p | n - |kappa|.  bar_cores and selfconjugate_cores build the cores of
-both kinds by one walk over their characteristic vectors (littlewood._cores),
-never by decomposing candidates.
+Membership comes from quotients.  The members of the block (kappa, w) are the
+reconstructions over kappa of every quotient of total weight w: a strict head
+component and (p-1)/2 ordinary ones for a spin block, p ordinary ones for a
+non-spin block.  The engine in littlewood.py builds this list once per (kind,
+kappa, w, p), and both spin groups share it.  ``_blocks_of`` lists the blocks
+of degree n, those over the p-bar cores kappa with p | n - |kappa|.
+``_members_of`` gives the members of a block of any kind and ``_heights_of``
+its defect and heights, for the ``blocks`` listing and ``_check_map`` alike.
+bar_cores and selfconjugate_cores build the cores of both kinds by one walk
+over their characteristic vectors (littlewood._cores).
 
 The suites form one table, SUITES, from a name to a function
 (p, bound, w_max) -> (cases, violations, notes).  ``_sweep`` owns the only loop
@@ -174,6 +175,34 @@ def nonspin_block_members(block: NonSpinBlockId) -> tuple[CharLabel, ...]:
         else:
             out.add(CharLabel(_orbit_rep(lam), ATILDE, NONSPIN, WHOLE))
     return tuple(sorted(out, key=CharLabel.sort_key))
+
+
+def _blocks_of(n: int, p: int, group: str) -> list:
+    """The blocks of degree n: one for each p-bar core kappa with p | n - |kappa|,
+    by (size, parts) for the spin groups; the G and G+ blocks keep the order
+    of bar_cores and need weight at least 1."""
+    spin = group in (STILDE, ATILDE)
+    cores = [k for k in bar_cores(p, n) if (n - k.size) % p == 0 and (spin or k.size < n)]
+    if spin:
+        cores.sort(key=lambda k: (k.size, k.parts))
+    block = SpinBlockId if spin else GBlockId
+    return [block(kappa, (n - kappa.size) // p, group, p) for kappa in cores]
+
+
+def _members_of(block) -> tuple:
+    """The member labels of a G/G+, spin or non-spin block."""
+    if isinstance(block, GBlockId):
+        return block_members(block)
+    if isinstance(block, SpinBlockId):
+        return spin_block_members(block)
+    return nonspin_block_members(block)
+
+
+def _heights_of(block, members) -> tuple:
+    """(defect, heights) of block, for its labels in members, from hook lengths."""
+    if isinstance(block, GBlockId):
+        return g_height_and_defect(members, block.p)
+    return height_and_defect(members, block.n, block.p)
 
 
 @dataclass(frozen=True)
@@ -523,7 +552,7 @@ def _spin_blocks(bound, p, w_max):
     baseline = {}
     for w in range(1, w_max + 1):
         empty = SpinBlockId(BarPartition(), w, STILDE, p)
-        baseline[w], _ = height_and_defect(spin_block_members(empty), empty.n, p)
+        baseline[w], _ = _heights_of(empty, _members_of(empty))
     for kappa in bar_cores(p, bound):
         for w in range(1, w_max + 1):
             for group in (STILDE, ATILDE):
@@ -533,7 +562,7 @@ def _spin_blocks(bound, p, w_max):
 def _blocks(x, p):
     block, baseline = x
     where = {"kappa": block.kappa.to_json(), "w": block.w, "group": block.group}
-    defect, found = _check_map(phi_map(block), where, p)
+    defect, found = _check_map(phi_map(block), where)
     if defect is not None and defect != baseline:
         reason = "defect varies with core"
         found.append({**where, "defect": defect, "empty_core_defect": baseline, "reason": reason})
@@ -555,30 +584,21 @@ def _census(block, p):
     return 1, [{"kappa": block.kappa.to_json(), "group": block.group, "count": got, "expected": want}]
 
 
-def _check_map(lmap, where, p, heights=True):
+def _check_map(lmap, where, heights=True):
     """Check lmap against its target block: a bijection onto the target's
     members and, with heights, equal defects and equal heights label by
     label.  Heights come from hook lengths on both sides.  Returns (defect,
     witnesses): defect is the source block's, or None when the map is not a
     bijection or heights is off.  Every witness opens with where, the block
     context."""
-    target = lmap.target
     images = sorted((dst for _, dst in lmap.pairs), key=operator.methodcaller("sort_key"))
-    if isinstance(target, GBlockId):
-        members = block_members(target)
-    elif isinstance(target, SpinBlockId):
-        members = spin_block_members(target)
-    else:
-        members = nonspin_block_members(target)
+    members = _members_of(lmap.target)
     if images != list(members):
         return None, [{**where, "reason": "not a bijection onto the target block"}]
     if not heights:
         return None, []
-    defect, hs = height_and_defect(tuple(s for s, _ in lmap.pairs), lmap.source.n, p)
-    if isinstance(target, GBlockId):
-        image_defect, ht = g_height_and_defect(members, p)
-    else:
-        image_defect, ht = height_and_defect(members, target.n, p)
+    defect, hs = _heights_of(lmap.source, tuple(s for s, _ in lmap.pairs))
+    image_defect, ht = _heights_of(lmap.target, members)
     found = []
     if defect != image_defect:
         found.append({**where, "defect": defect, "image_defect": image_defect})
@@ -637,7 +657,7 @@ def _replace_core(x, p, side, allow_reversed):
     lmap = side.replace(k1, k2, w, group, p, allow_reversed)
     where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
     block = where if group is None else {**where, "group": group}
-    defect, found = _check_map(lmap, block, p, heights=not allow_reversed)
+    defect, found = _check_map(lmap, block, heights=not allow_reversed)
     if defect is None and found:  # not a bijection
         return 1, found
     report = equivariance_check(lmap, standard_generators(p))

@@ -143,40 +143,17 @@ def _cmd_pairs(args) -> int:
     return 0
 
 
-def _blocks_of(n: int, p: int, group: str) -> list:
-    """The blocks of degree n: one for each p-bar core kappa with p | n - |kappa|,
-    by (size, parts) for the spin groups; the G and G+ blocks keep the order
-    of bar_cores and need weight at least 1."""
-    from .blocks import SpinBlockId, bar_cores
-    from .characters import ATILDE, STILDE
-    from .humphreys import GBlockId
-
-    spin = group in (STILDE, ATILDE)
-    cores = [k for k in bar_cores(p, n) if (n - k.size) % p == 0 and (spin or k.size < n)]
-    if spin:
-        cores.sort(key=lambda k: (k.size, k.parts))
-    block = SpinBlockId if spin else GBlockId
-    return [block(kappa, (n - kappa.size) // p, group, p) for kappa in cores]
-
-
 def _cmd_blocks(args) -> int:
-    from .blocks import SpinBlockId, spin_block_members
-    from .characters import height_and_defect
+    from .blocks import SpinBlockId, _blocks_of, _heights_of, _members_of
     from .galois import GaloisElement
-    from .humphreys import block_members, g_height_and_defect
 
     GaloisElement(args.p)  # raises "p must be an odd prime, got ..." for any other p
     if args.n < 0:
         raise ValueError("n must be non-negative")
     out = []
     for block in _blocks_of(args.n, args.p, args.group):
-        spin = isinstance(block, SpinBlockId)
-        if spin:
-            members = spin_block_members(block)
-            defect, heights = height_and_defect(members, block.n, args.p)
-        else:
-            members = block_members(block)
-            defect, heights = g_height_and_defect(members, args.p)
+        members = _members_of(block)
+        defect, heights = _heights_of(block, members)
         if args.json:
             out.append(
                 {
@@ -190,7 +167,7 @@ def _cmd_blocks(args) -> int:
             continue
         print(f"block kappa=[{block.kappa}] w={block.w} group={block.group} defect={defect}")
         for label in members:
-            name = label.partition if spin else label.nu
+            name = label.partition if isinstance(block, SpinBlockId) else label.nu
             print(f"  [{name}] {label.variant} height={heights[label]}")
     if args.json:
         print(json.dumps(out))

@@ -40,8 +40,17 @@ from typing import Callable, NamedTuple, Sequence
 from .partitions import BarPartition, Partition, _frobenius, _from_frobenius, _partitions_of, _shift
 
 
+@dataclass(frozen=True)
 class _Record:
-    """JSON form shared by the two decomposition records."""
+    """A decomposition: core, quotient, characteristic vector, weight, cocore
+    and d."""
+
+    core: Partition
+    quotient: tuple[Partition, ...]
+    charvec: tuple[int, ...]
+    weight: int
+    cocore: Partition
+    d: int
 
     def to_json(self) -> dict:
         return {
@@ -54,30 +63,12 @@ class _Record:
         }
 
 
-@dataclass(frozen=True)
 class BarLittlewood(_Record):
     """Decomposition record of a bar-partition for an odd t."""
 
-    t: int
-    core: BarPartition
-    quotient: tuple[Partition, ...]
-    charvec: tuple[int, ...]
-    weight: int
-    cocore: BarPartition
-    d: int
 
-
-@dataclass(frozen=True)
 class OrdinaryLittlewood(_Record):
     """Decomposition record of an ordinary partition for an odd p."""
-
-    p: int
-    core: Partition
-    quotient: tuple[Partition, ...]
-    charvec: tuple[int, ...]
-    weight: int
-    cocore: Partition
-    d: int
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,7 @@ def _decompose(layout: _Layout, parts: tuple[int, ...], m: int):
     core = layout.label(_label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
     cocore = layout.label(_label_parts(layout, runner0, pointed, m))
     weight = sum(q.size for q in quotient)
-    return layout.record(m, core, quotient, tuple(charvec), weight, cocore, d)
+    return layout.record(core, quotient, tuple(charvec), weight, cocore, d)
 
 
 def _reconstruct(layout: _Layout, core, quotient, m: int):

@@ -235,7 +235,8 @@ _KINDS = {
 
 
 def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
-    """Yield each qualifying partition of n once, in lexicographic descending order.
+    """Each qualifying partition of n once, in lexicographic descending order,
+    as a lazy iterator; n and kind are checked at the call.
 
     kind is one of "all", "strict", "self_conjugate".
     """
@@ -244,8 +245,7 @@ def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     gap, step, label = _KINDS[kind]
-    for parts in _gen(n, n, gap, step):
-        yield label(parts)
+    return map(label, _gen(n, n, gap, step))
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from barblocks.blocks import (
     NonSpinBlockId,
     SpinBlockId,
     VerificationReport,
+    _blocks_of,
     bar_cores,
     equivariance_check,
     nonspin_block_members,
@@ -35,7 +36,7 @@ from barblocks.characters import (
     classify,
     height_and_defect,
 )
-from barblocks.cli import _blocks_of, main
+from barblocks.cli import main
 from barblocks.galois import GaloisElement, standard_generators, tau_partition, tau_selfconjugate
 from barblocks.humphreys import cocores
 from barblocks.littlewood import bar_decompose, ordinary_decompose

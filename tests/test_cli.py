@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -374,3 +375,39 @@ def test_each_command_loads_only_the_modules_it_uses(argv):
     exit_code, modules = json.loads(done.stdout.splitlines()[-1])
     assert exit_code == 0, done.stderr
     assert {m.removeprefix("barblocks.") for m in modules} == MODULE_BUDGETS[argv]
+
+
+def test_verify_text_report_shows_ten_witnesses_then_a_count(capsys):
+    code, out, _ = run(
+        capsys, "verify", "crossing_fails", "--p", "3", "--max-n", "12", "--max-w", "5",
+        "--expect-violations",
+    )
+    lines = out.splitlines()
+    assert code == 0
+    assert "violations: 104" in lines
+    assert sum(line.startswith("witness: ") for line in lines) == 10
+    assert lines[-1] == "... and 94 more"
+
+
+def _readme_block(heading, fence):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_lines_run(capsys):
+    block = _readme_block("## CLI", "")
+    lines = [line for line in block.splitlines() if line.startswith("barblocks ")]
+    assert len(lines) == 9
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert run(capsys, *argv)[0] == 0, line
+
+
+def test_readme_library_example_holds():
+    """Run the example and check the values its comments give."""
+    namespace = {}
+    exec(_readme_block("## Library example", "python"), namespace)
+    assert (namespace["dec"].weight, namespace["dec"].d) == (9, 0)
+    assert eval("paired_parts(lam, 5)", namespace) == ((2, 3), (6, 14), (12, 8))
+    assert eval("tau_partition(BarPartition([2, 1]), GaloisElement.sigma(3))", namespace) == -1

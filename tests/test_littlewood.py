@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from barblocks.littlewood import (
+    BarLittlewood,
+    OrdinaryLittlewood,
     bar_cocore,
     bar_decompose,
     bar_reconstruct,
@@ -278,6 +281,18 @@ def test_json_record():
         "cocore": [5, 3, 1],
         "d": 0,
     }
+
+
+def test_records_of_both_kinds_have_one_field_list_but_never_compare_equal():
+    fields = ["core", "quotient", "charvec", "weight", "cocore", "d"]
+    bar = bar_decompose(BarPartition([2, 1]), 3)
+    assert [f.name for f in dataclasses.fields(bar)] == fields
+    assert [f.name for f in dataclasses.fields(ordinary_decompose(Partition([2, 1]), 3))] == fields
+    values = [getattr(bar, name) for name in fields]
+    assert BarLittlewood(*values) == bar != OrdinaryLittlewood(*values)
+    assert type(dataclasses.replace(bar, d=1)) is BarLittlewood
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bar.d = 1
 
 
 # sha256 over the 4,562 records of _golden_records(), one JSON line each, read

@@ -153,6 +153,14 @@ def test_enumerate_rejects_bad_input():
         list(enumerate_partitions(3, "weird"))
 
 
+def test_enumerate_refuses_at_the_call_and_stays_lazy():
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        enumerate_partitions(-1)
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        enumerate_partitions(3, "bogus")
+    assert next(enumerate_partitions(1000)) == Partition([1000])
+
+
 def test_text_round_trip():
     for text in ("", "1", "5,3,1", "14,12,8,6,3,2"):
         lam = parse_partition(text, strict=True)
