@@ -21,10 +21,10 @@ strict partitions up to the bound, the cocores among them, the self-conjugate
 ones, m in 1..bound, the spin blocks over the p-bar cores (``blocks``), the
 weight-one G/G+ blocks (``census``) and the pairs of related cores with
 matching sigma_p tau (``_core_pairs``, for the core-replacement suites, where
-a side, spin or non-spin, gives the cores, the map and the extra witness
-fields).  ``blocks`` and core replacement check every map through
-``_check_map``: a bijection onto the target block that keeps the defect and
-every height.
+the group None marks the non-spin side: self-conjugate cores and nonspin_psi
+in place of bar cores and psi).  ``blocks`` and core replacement check every
+map through ``_check_map``: a bijection onto the target block that keeps the
+defect and every height.
 
 ``little``, ``tau_oracle`` and ``crossing_fails`` run ``_sweep`` once and add
 only what every element shares or the notes.  Every domain is walked in a
@@ -42,7 +42,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
 
 from .abacus import BarAbacus
 from .characters import (
@@ -120,6 +119,7 @@ class SpinBlockId:
     p: int
 
     def __post_init__(self):
+        GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
         if self.group not in (STILDE, ATILDE):
             raise ValueError(f"group must be {STILDE!r} or {ATILDE!r}")
         if self.w < 0:
@@ -139,6 +139,7 @@ class NonSpinBlockId:
     p: int
 
     def __post_init__(self):
+        GaloisElement(self.p)
         if not self.kappa.is_self_conjugate():
             raise ValueError(f"{self.kappa!r} is not self-conjugate")
         if ordinary_decompose(self.kappa, self.p).weight != 0:
@@ -153,10 +154,8 @@ class NonSpinBlockId:
 
 @lru_cache(maxsize=None)
 def spin_block_members(block: SpinBlockId) -> tuple[CharLabel, ...]:
-    out = []
-    for lam in _members(_BAR, block.kappa.parts, block.p, block.w):
-        out.extend(classify(lam, block.group, SPIN))
-    return tuple(sorted(out, key=CharLabel.sort_key))
+    lams = _members(_BAR, block.kappa.parts, block.p, block.w)
+    return tuple(label for lam in lams for label in classify(lam, block.group, SPIN))
 
 
 def _orbit_rep(lam: Partition) -> Partition:
@@ -167,14 +166,11 @@ def _orbit_rep(lam: Partition) -> Partition:
 @lru_cache(maxsize=None)
 def nonspin_block_members(block: NonSpinBlockId) -> tuple[CharLabel, ...]:
     """Labels of the alternating-cover non-spin block: one label per
-    conjugation orbit {lam, lam*}, split into a pair when lam = lam*."""
-    out = set()
-    for lam in _members(_ORDINARY, block.kappa.parts, block.p, block.w):
-        if lam.is_self_conjugate():
-            out.update(classify(lam, ATILDE, NONSPIN))
-        else:
-            out.add(CharLabel(_orbit_rep(lam), ATILDE, NONSPIN, WHOLE))
-    return tuple(sorted(out, key=CharLabel.sort_key))
+    conjugation orbit {lam, lam*}, split into a pair when lam = lam*, at the
+    larger of lam and lam* (the core is self-conjugate, so both are members)."""
+    lams = _members(_ORDINARY, block.kappa.parts, block.p, block.w)
+    reps = (lam for lam in lams if _orbit_rep(lam) == lam)
+    return tuple(label for lam in reps for label in classify(lam, ATILDE, NONSPIN))
 
 
 def _blocks_of(n: int, p: int, group: str) -> list:
@@ -240,9 +236,7 @@ def psi(source: SpinBlockId, target_core: BarPartition, allow_reversed: bool = F
     s_sign, t_sign = source.kappa.sign(), target_core.sign()
     if s_sign == t_sign:
         target_group = source.group
-    elif (source.group, s_sign, t_sign) in ((STILDE, -1, 1), (ATILDE, 1, -1)):
-        target_group = _OTHER[source.group]
-    elif allow_reversed:
+    elif allow_reversed or (source.group, s_sign) in ((STILDE, -1), (ATILDE, 1)):
         target_group = _OTHER[source.group]
     else:
         raise ValueError(
@@ -268,9 +262,8 @@ def nonspin_psi(kappa: Partition, target_core: Partition, w: int, p: int) -> Lab
         quotient = ordinary_decompose(label.partition, p).quotient
         image = ordinary_reconstruct(target_core, quotient, p)
         if label.variant == WHOLE:
-            pairs.append((label, CharLabel(_orbit_rep(image), ATILDE, NONSPIN, WHOLE)))
-        else:
-            pairs.append((label, CharLabel(image, ATILDE, NONSPIN, label.variant)))
+            image = _orbit_rep(image)
+        pairs.append((label, CharLabel(image, ATILDE, NONSPIN, label.variant)))
     return LabelMap(source, target, tuple(pairs))
 
 
@@ -610,37 +603,11 @@ def _check_map(lmap, where, heights=True):
     return defect, found
 
 
-@dataclass(frozen=True)
-class _Side:
-    """What the core-replacement suites need to know of the spin or the
-    non-spin blocks.  The fields are lambdas so that every call looks the
-    library function up by its module-global name."""
-
-    cores: Callable  # (p, bound) -> the cores, in sweep order
-    replace: Callable  # (k1, k2, w, group, p, allow_reversed) -> LabelMap
-    extra: Callable  # (k2, violation, p) -> extra fields of an equivariance witness
-
-
-_SPIN = _Side(
-    cores=lambda p, bound: bar_cores(p, bound),
-    replace=lambda k1, k2, w, group, p, rev: psi(SpinBlockId(k1, w, group, p), k2, rev),
-    extra=lambda k2, v, p: {
-        "kappa2_sign": k2.sign(),
-        "cocore_sign": bar_decompose(BarPartition(v["label"]["partition"]), p).cocore.sign(),
-    },
-)
-_NONSPIN = _Side(
-    cores=lambda p, bound: selfconjugate_cores(p, bound),
-    replace=lambda k1, k2, w, group, p, rev: nonspin_psi(k1, k2, w, p),
-    extra=lambda k2, v, p: {},
-)
-
-
-def _core_pairs(bound, p, w_max, side, related, groups):
+def _core_pairs(bound, p, w_max, related, groups):
     """(k1, k2, w, group) for each pair of related cores with matching
-    sigma_p tau, each weight 1..w_max and each group."""
+    sigma_p tau, each weight 1..w_max and each group (None: non-spin)."""
     sigma = GaloisElement.sigma(p)
-    cores = side.cores(p, bound)
+    cores = selfconjugate_cores(p, bound) if groups == (None,) else bar_cores(p, bound)
     for k1 in cores:
         for k2 in cores:
             if related(k1, k2) and _core_tau(k1, sigma) == _core_tau(k2, sigma):
@@ -649,29 +616,37 @@ def _core_pairs(bound, p, w_max, side, related, groups):
                         yield k1, k2, w, group
 
 
-def _replace_core(x, p, side, allow_reversed):
+def _replace_core(x, p, allow_reversed):
     """Check the map from the block over k1 to the block over k2: bijective,
     Galois-equivariant and, unless reversed, height-preserving.  Only its own
-    witnesses carry the group (None on the non-spin side)."""
+    witnesses carry the group (None on the non-spin side), and only spin
+    equivariance witnesses the signs of k2 and of the label's cocore."""
     k1, k2, w, group = x
-    lmap = side.replace(k1, k2, w, group, p, allow_reversed)
+    if group is None:
+        lmap = nonspin_psi(k1, k2, w, p)
+    else:
+        lmap = psi(SpinBlockId(k1, w, group, p), k2, allow_reversed)
     where = {"kappa": k1.to_json(), "kappa2": k2.to_json(), "w": w}
     block = where if group is None else {**where, "group": group}
     defect, found = _check_map(lmap, block, heights=not allow_reversed)
     if defect is None and found:  # not a bijection
         return 1, found
     report = equivariance_check(lmap, standard_generators(p))
-    witnesses = [{**v, **where, **side.extra(k2, v, p)} for v in report.violations]
+    witnesses = [{**v, **where} for v in report.violations]
+    if group is not None:
+        for v in witnesses:
+            cocore = bar_decompose(BarPartition(v["label"]["partition"]), p).cocore
+            v.update(kappa2_sign=k2.sign(), cocore_sign=cocore.sign())
     return 1 + report.cases + (not allow_reversed), witnesses + found
 
 
-def _core_replacement(side, related, groups, allow_reversed=False):
-    pairs = partial(_core_pairs, side=side, related=related, groups=groups)
-    return _sweep(pairs, partial(_replace_core, side=side, allow_reversed=allow_reversed))
+def _core_replacement(related, groups, allow_reversed=False):
+    pairs = partial(_core_pairs, related=related, groups=groups)
+    return _sweep(pairs, partial(_replace_core, allow_reversed=allow_reversed))
 
 
 def _suite_crossing_fails(p, bound, w_max):
-    suite = _core_replacement(_SPIN, _reversed_crossing, (STILDE,), allow_reversed=True)
+    suite = _core_replacement(_reversed_crossing, (STILDE,), allow_reversed=True)
     cases, violations, _ = suite(p, bound, w_max)
     return cases, violations, [f"expected: violations iff p = 3 mod 4 (here p % 4 = {p % 4})"]
 
@@ -700,12 +675,12 @@ SUITES = {
     "valuation": _sweep(_strict_upto, _valuation),
     "blocks": _sweep(_spin_blocks, _blocks),
     "census": _sweep(_weight_one_g_blocks, _census),
-    "psi": _core_replacement(_SPIN, _same_sign, (STILDE, ATILDE)),
-    "crossing": _core_replacement(_SPIN, _crossing, (STILDE,)),
+    "psi": _core_replacement(_same_sign, (STILDE, ATILDE)),
+    "crossing": _core_replacement(_crossing, (STILDE,)),
     "crossing_fails": _suite_crossing_fails,
     "tau_nonspin": _sweep(_selfconjugate_upto, _tau_nonspin),
     "durfee": _sweep(_selfconjugate_upto, _durfee),
-    "psi_nonspin": _core_replacement(_NONSPIN, operator.ne, (None,)),
+    "psi_nonspin": _core_replacement(operator.ne, (None,)),
 }
 
 

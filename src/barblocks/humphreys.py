@@ -67,6 +67,7 @@ class GBlockId:
     p: int
 
     def __post_init__(self):
+        GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
         if self.group not in _GGROUPS:
             raise ValueError(f"group must be one of {_GGROUPS}")
         if self.w < 1:
@@ -106,10 +107,8 @@ def cocores(w: int, p: int) -> tuple[BarPartition, ...]:
 
 
 def block_members(block: GBlockId) -> tuple[GCharLabel, ...]:
-    out = []
-    for mu in cocores(block.w, block.p):
-        out.extend(classify_g(block.kappa, mu, block.group))
-    return tuple(sorted(out, key=GCharLabel.sort_key))
+    nus = reversed(cocores(block.w, block.p))  # ascending, the order of GCharLabel.sort_key
+    return tuple(label for nu in nus for label in classify_g(block.kappa, nu, block.group))
 
 
 _GROUP_OF = {STILDE: G, ATILDE: GPLUS}

@@ -63,10 +63,12 @@ class _Record:
         }
 
 
+@dataclass(frozen=True)
 class BarLittlewood(_Record):
     """Decomposition record of a bar-partition for an odd t."""
 
 
+@dataclass(frozen=True)
 class OrdinaryLittlewood(_Record):
     """Decomposition record of an ordinary partition for an odd p."""
 

@@ -38,7 +38,7 @@ from barblocks.characters import (
 )
 from barblocks.cli import main
 from barblocks.galois import GaloisElement, standard_generators, tau_partition, tau_selfconjugate
-from barblocks.humphreys import cocores
+from barblocks.humphreys import G, GPLUS, GBlockId, GCharLabel, block_members, classify_g, cocores
 from barblocks.littlewood import bar_decompose, ordinary_decompose
 from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition, enumerate_partitions
 
@@ -565,6 +565,17 @@ MAP_WITNESS_CASES = {
             "height": 0, "image_height": 1,
         },
     ),
+    "psi_nonspin-equivariance": (
+        "psi_nonspin", 5,
+        _negated_where(
+            "label_tau", lambda label, f: (label.flavor, label.partition.parts) == (NONSPIN, (2, 2))
+        ),
+        {
+            "label": _NONSPIN_21, "image": {**_NONSPIN_21, "partition": [2, 2]},
+            "f": {"p": 3, "e": 1, "s": 1}, "tau_source": 1, "tau_image": -1,
+            "kappa": [], "kappa2": [1], "w": 1,
+        },
+    ),
 }
 
 
@@ -647,9 +658,12 @@ def test_membership_matches_filtering_by_removal(p):
     """Block lists, members, cocores and bar cores against filtering every
     partition of n <= 16 by the cores of tests/oracles.py."""
     cores_seen = set()
+    removed_cocores = {}  # w -> the strict partitions of p*w with empty core by removal
     for n in range(17):
         spin, ordinary = _filtered(n, p)
         cores_seen.update(spin)
+        if n % p == 0:
+            removed_cocores[n // p] = spin.get(BarPartition(), ())
         blocks_of = [(b.kappa, b.w) for b in _blocks_of(n, p, STILDE)]
         assert blocks_of == sorted(
             ((k, (n - k.size) // p) for k in spin), key=lambda b: (b[0].size, b[0].parts)
@@ -663,6 +677,14 @@ def test_membership_matches_filtering_by_removal(p):
                     key=CharLabel.sort_key,
                 )
                 assert list(members) == expected
+            if w == 0:
+                continue  # the G and G+ blocks have weight at least 1
+            for ggroup in (G, GPLUS):
+                expected = sorted(
+                    (x for nu in removed_cocores[w] for x in classify_g(kappa, nu, ggroup)),
+                    key=GCharLabel.sort_key,
+                )
+                assert list(block_members(GBlockId(kappa, w, ggroup, p))) == expected
         if n % p == 0:
             want = sorted(spin.get(BarPartition(), ()), key=lambda lam: lam.parts, reverse=True)
             assert list(cocores(n // p, p)) == want

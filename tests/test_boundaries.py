@@ -15,7 +15,7 @@ from barblocks.galois import (
     tau_partition,
     tau_sqrt,
 )
-from barblocks.humphreys import GCharLabel, cocores, phi
+from barblocks.humphreys import GBlockId, GCharLabel, cocores, phi
 from barblocks.littlewood import bar_reconstruct, ordinary_cocore
 from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition
 
@@ -82,6 +82,20 @@ COERCIONS = {
     "diff_value": lambda kind: diff_value(kind([2, 1])),
     "bar_reconstruct": lambda kind: bar_reconstruct(kind([1]), (SPIN_1, Partition()), 3),
 }
+
+
+BLOCK_IDS = {
+    "spin": lambda p: SpinBlockId(BarPartition(), 1, "stilde", p),
+    "nonspin": lambda p: NonSpinBlockId(Partition(), 1, p),
+    "g": lambda p: GBlockId(BarPartition(), 1, "g", p),
+}
+
+
+@pytest.mark.parametrize("p", [9, 15, 1])
+@pytest.mark.parametrize("block", BLOCK_IDS.values(), ids=list(BLOCK_IDS))
+def test_block_ids_refuse_a_p_that_is_not_an_odd_prime(block, p):
+    with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
+        block(p)
 
 
 @pytest.mark.parametrize("call", COERCIONS.values(), ids=list(COERCIONS))

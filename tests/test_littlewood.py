@@ -295,6 +295,14 @@ def test_records_of_both_kinds_have_one_field_list_but_never_compare_equal():
         bar.d = 1
 
 
+@pytest.mark.parametrize("decompose", [bar_decompose, ordinary_decompose])
+def test_records_of_both_kinds_refuse_a_new_attribute(decompose):
+    record = decompose([2, 1], 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.extra = 1
+    assert not hasattr(record, "extra")
+
+
 # sha256 over the 4,562 records of _golden_records(), one JSON line each, read
 # from the implementation that still had separate bar and ordinary code paths
 GOLDEN_DIGEST = "be38f5e701510b378c030d47b842e6a1d1c2a7e36b4fb6a55f43aac0a9b0c0b8"
