@@ -16,8 +16,8 @@ _NAMES_BY_MODULE = {
         "nonspin_block_members", "nonspin_psi", "phi_map", "psi", "spin_block_members", "verify",
     ),
     "characters": (
-        "ATILDE", "STILDE", "CharLabel", "ClassLabel", "bar_hook_lengths", "classify",
-        "degree_valuation", "height_and_defect", "is_split", "label_tau",
+        "ATILDE", "STILDE", "CharLabel", "bar_hook_lengths", "classify", "degree_valuation",
+        "height_and_defect", "label_tau",
     ),
     "galois": (
         "GaloisElement", "SurdValue", "diff_value", "jacobi", "oracle_tau_sqrt",

@@ -119,6 +119,8 @@ class SpinBlockId:
     p: int
 
     def __post_init__(self):
+        if not isinstance(self.kappa, BarPartition):
+            object.__setattr__(self, "kappa", BarPartition(self.kappa))
         GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
         if self.group not in (STILDE, ATILDE):
             raise ValueError(f"group must be {STILDE!r} or {ATILDE!r}")
@@ -139,6 +141,8 @@ class NonSpinBlockId:
     p: int
 
     def __post_init__(self):
+        if not isinstance(self.kappa, Partition):
+            object.__setattr__(self, "kappa", Partition(self.kappa))
         GaloisElement(self.p)
         if not self.kappa.is_self_conjugate():
             raise ValueError(f"{self.kappa!r} is not self-conjugate")

@@ -1,4 +1,4 @@
-"""Character and class labels for the double covers of the symmetric and
+"""Character labels for the double covers of the symmetric and
 alternating groups, hook-length data, degree valuations, heights and defects.
 
 Only p-valuations of degrees are ever computed (p odd); the 2-power left
@@ -65,16 +65,6 @@ class CharLabel:
         }
 
 
-@dataclass(frozen=True)
-class ClassLabel:
-    cycle_type: Partition
-    group: str
-
-    def __post_init__(self):
-        if self.group not in _GROUPS:
-            raise ValueError(f"group must be one of {_GROUPS}")
-
-
 def classify(partition: Partition, group: str, flavor: str = SPIN) -> tuple[CharLabel, ...]:
     """Labels carried by a partition: one self-associate label, or an
     associate plus/minus pair."""
@@ -92,17 +82,6 @@ def classify(partition: Partition, group: str, flavor: str = SPIN) -> tuple[Char
         CharLabel(lam, group, flavor, PLUS),
         CharLabel(lam, group, flavor, MINUS),
     )
-
-
-def is_split(c: ClassLabel) -> bool:
-    """Whether the two lifts of the class stay non-conjugate in the cover."""
-    if all(part % 2 for part in c.cycle_type):
-        return True
-    parts = c.cycle_type.parts
-    if len(set(parts)) != len(parts):
-        return False
-    want = -1 if c.group == STILDE else 1
-    return c.cycle_type.sign() == want
 
 
 def bar_hook_lengths(lam: BarPartition) -> tuple[int, ...]:

@@ -213,6 +213,8 @@ def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
 
 
 def tau_selfconjugate(lam: Partition, f: GaloisElement) -> int:
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
     hooks = _selfconjugate_hooks(lam)
     return _tau_product(0, (lam.size - len(hooks)) // 2, hooks, f)
 

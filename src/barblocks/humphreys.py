@@ -67,6 +67,8 @@ class GBlockId:
     p: int
 
     def __post_init__(self):
+        if not isinstance(self.kappa, BarPartition):
+            object.__setattr__(self, "kappa", BarPartition(self.kappa))
         GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
         if self.group not in _GGROUPS:
             raise ValueError(f"group must be one of {_GGROUPS}")

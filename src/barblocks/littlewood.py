@@ -296,10 +296,6 @@ def bar_decompose(lam: BarPartition, t: int) -> BarLittlewood:
     return _decompose(_BAR, *_checked(_BAR, lam, t))
 
 
-def is_bar_core(lam: BarPartition, t: int) -> bool:
-    return bar_decompose(lam, t).weight == 0
-
-
 def bar_reconstruct(core: BarPartition, quotient: Sequence[Partition], t: int) -> BarPartition:
     """Inverse of bar_decompose: rebuild the partition with the given core
     and quotient."""
@@ -344,6 +340,8 @@ def selfconjugate_paired_hooks(lam: Partition, p: int) -> tuple[tuple[int, int],
     """Pair the diagonal hooks of a self-conjugate p-cocore across runners
     j and p-1-j; each pair sums to a multiple of 2p.  Hooks on the middle
     runner pair with themselves."""
-    if not lam.is_self_conjugate():
+    if not isinstance(lam, Partition):
+        lam = Partition(lam)
+    if not lam.is_self_conjugate():  # refused before _pairs checks p; the CLI relies on this order
         raise ValueError(f"{lam!r} is not self-conjugate")
     return _pairs(_ORDINARY, lam, p)

@@ -3,8 +3,8 @@
 import pytest
 
 from barblocks.abacus import BarAbacus, FencedRunner, TwistedBarAbacus
-from barblocks.blocks import NonSpinBlockId, SpinBlockId, psi
-from barblocks.characters import CharLabel, ClassLabel
+from barblocks.blocks import NonSpinBlockId, SpinBlockId, nonspin_psi, psi, spin_block_members
+from barblocks.characters import CharLabel
 from barblocks.galois import (
     GaloisElement,
     _apply_exponent,
@@ -13,10 +13,11 @@ from barblocks.galois import (
     diff_value,
     oracle_tau_sqrt,
     tau_partition,
+    tau_selfconjugate,
     tau_sqrt,
 )
-from barblocks.humphreys import GBlockId, GCharLabel, cocores, phi
-from barblocks.littlewood import bar_reconstruct, ordinary_cocore
+from barblocks.humphreys import GBlockId, GCharLabel, block_members, cocores, phi
+from barblocks.littlewood import bar_reconstruct, ordinary_cocore, selfconjugate_paired_hooks
 from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition
 
 SIGMA3 = GaloisElement.sigma(3)
@@ -36,8 +37,9 @@ REFUSALS = {
         r"flavor must be one of \('spin', 'nonspin'\)",
     ),
     "char-label-variant": (lambda: CharLabel(SPIN_1, "stilde", "spin", "bogus"), VARIANTS),
-    "class-label-group": (
-        lambda: ClassLabel(Partition([1]), "g"), r"group must be one of \('stilde', 'atilde'\)",
+    "char-label-group": (
+        lambda: CharLabel(SPIN_1, "g", "spin", "whole"),
+        r"group must be one of \('stilde', 'atilde'\)",
     ),
     "g-char-label-group": (
         lambda: GCharLabel(BarPartition(), SPIN_1, "bogus", "whole"),
@@ -79,8 +81,15 @@ def test_an_automorphism_that_does_not_scale_by_a_sign_is_refused():
 COERCIONS = {
     "psi": lambda kind: psi(SpinBlockId(BarPartition(), 1, "stilde", 3), kind([1])),
     "tau_partition": lambda kind: tau_partition(kind([2, 1]), SIGMA3),
+    "tau_selfconjugate": lambda kind: tau_selfconjugate(kind([2, 1]), SIGMA3),
+    "selfconjugate_paired_hooks": lambda kind: selfconjugate_paired_hooks(kind([2, 1]), 3),
     "diff_value": lambda kind: diff_value(kind([2, 1])),
     "bar_reconstruct": lambda kind: bar_reconstruct(kind([1]), (SPIN_1, Partition()), 3),
+    "spin_block_n": lambda kind: SpinBlockId(kind([]), 1, "stilde", 3).n,
+    "spin_block_members": lambda kind: spin_block_members(SpinBlockId(kind([]), 1, "stilde", 3)),
+    "g_block_members": lambda kind: block_members(GBlockId(kind([]), 1, "g", 3)),
+    "nonspin_block_n": lambda kind: NonSpinBlockId(kind([1]), 1, 3).n,
+    "nonspin_psi": lambda kind: nonspin_psi(kind([1]), kind([1]), 1, 3),
 }
 
 

@@ -13,12 +13,10 @@ from barblocks.characters import (
     SPIN,
     STILDE,
     CharLabel,
-    ClassLabel,
     bar_hook_lengths,
     classify,
     degree_valuation,
     height_and_defect,
-    is_split,
     label_tau,
     nonspin_degree_valuation,
     nu_p,
@@ -70,15 +68,6 @@ def test_classify_counts_match_sign_census():
         a_whole = sum(1 for lam in strict if len(classify(lam, ATILDE)) == 1)
         assert s_whole == plus
         assert a_whole == minus
-
-
-def test_is_split():
-    assert is_split(ClassLabel(Partition([5, 3, 1]), STILDE))
-    assert is_split(ClassLabel(Partition([5, 3, 1]), ATILDE))
-    assert is_split(ClassLabel(Partition([1, 1, 1]), STILDE))
-    assert is_split(ClassLabel(Partition([2, 1]), STILDE))
-    assert not is_split(ClassLabel(Partition([2, 1]), ATILDE))
-    assert not is_split(ClassLabel(Partition([2, 2]), STILDE))
 
 
 def test_bar_hook_lengths():

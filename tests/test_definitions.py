@@ -1,0 +1,89 @@
+"""Every module-level definition of src/barblocks has a reader: code in
+src/barblocks reads it, or it is public, a dunder, or allowed below."""
+
+import ast
+from pathlib import Path
+
+import barblocks
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "barblocks").glob("*.py"))
+
+# module.name -> why it stays although no code in src/barblocks reads it
+ALLOWED = {
+    "blocks.partitions_of": "bench/tracer.py GROUPS traces it; it goes together with that entry",
+    "characters.nonspin_degree_valuation": "the hook-length route of the Macdonald count test",
+    "galois.selfconjugate_diff_value": "oracle route: the surd tau_selfconjugate is tested against",
+    "galois.oracle_tau_surd": "oracle route: the sign the closed-form taus are tested against",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(name, statement) for each def, class and assigned name at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _reads(module: str, tree: ast.Module):
+    """((module, name), statement) for each name a module-level statement
+    reads: a loaded name of this module, or a name imported from a sibling."""
+    for statement in tree.body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                yield (module, node.id), statement
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    yield (node.module, alias.name), statement
+
+
+def _unread(trees: dict[str, ast.Module], public=(), allowed=()) -> list[str]:
+    """module.name (line) of each definition that no other statement reads
+    and that is neither public, a dunder nor allowed."""
+    readers: dict[tuple[str, str], set[int]] = {}
+    for module, tree in trees.items():
+        for key, statement in _reads(module, tree):
+            readers.setdefault(key, set()).add(id(statement))
+    out = []
+    for module, tree in trees.items():
+        for name, statement in _definitions(tree):
+            if readers.get((module, name), set()) - {id(statement)}:
+                continue
+            if name in public or name.startswith("__") or f"{module}.{name}" in allowed:
+                continue
+            out.append(f"{module}.{name} (line {statement.lineno})")
+    return out
+
+
+def _source_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def test_every_definition_has_a_reader():
+    assert _unread(_source_trees(), barblocks.__all__, ALLOWED) == []
+
+
+def test_every_allowed_name_is_defined_and_unread():
+    """A name that is deleted, or that code starts to read, leaves the list."""
+    unread = {entry.split(" ")[0] for entry in _unread(_source_trees(), barblocks.__all__)}
+    assert unread == set(ALLOWED)
+
+
+def test_a_definition_left_behind_is_found():
+    trees = {
+        "a": ast.parse(
+            "LIMIT = 3\n\n"
+            "def used():\n    return LIMIT\n\n"
+            "def unused():\n    return used()\n\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+            "class Public:\n    pass\n"
+        ),
+        "b": ast.parse("from .a import used\n\nVALUE = used()\n__all__ = ['VALUE']\n"),
+    }
+    unread = ["a.unused (line 6)", "a.recursive (line 9)"]
+    assert _unread(trees, public=("Public", "VALUE")) == unread

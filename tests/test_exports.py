@@ -13,8 +13,8 @@ PUBLIC = {
     "abacus": "BarAbacus FencedRunner TwistedBarAbacus reference_runner render",
     "blocks": "LabelMap NonSpinBlockId SpinBlockId VerificationReport equivariance_check "
     "nonspin_block_members nonspin_psi phi_map psi spin_block_members verify",
-    "characters": "ATILDE STILDE CharLabel ClassLabel bar_hook_lengths classify degree_valuation "
-    "height_and_defect is_split label_tau",
+    "characters": "ATILDE STILDE CharLabel bar_hook_lengths classify degree_valuation "
+    "height_and_defect label_tau",
     "galois": "GaloisElement SurdValue diff_value jacobi oracle_tau_sqrt standard_generators tau_i "
     "tau_partition tau_selfconjugate tau_sqrt tau_sqrt2",
     "humphreys": "G GPLUS GBlockId GCharLabel block_members classify_g g_degree_valuation phi "
@@ -26,7 +26,7 @@ PUBLIC = {
 
 
 def test_all_lists_the_public_names():
-    assert len(barblocks.__all__) == len(set(barblocks.__all__)) == 63
+    assert len(barblocks.__all__) == len(set(barblocks.__all__)) == 61
     assert set(barblocks.__all__) == {name for names in PUBLIC.values() for name in names.split()}
     assert barblocks.__version__ == "0.1.0"
 

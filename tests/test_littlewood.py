@@ -12,7 +12,6 @@ from barblocks.littlewood import (
     bar_cocore,
     bar_decompose,
     bar_reconstruct,
-    is_bar_core,
     ordinary_cocore,
     ordinary_decompose,
     ordinary_reconstruct,
@@ -263,11 +262,6 @@ def test_selfconjugate_paired_hooks_rejects():
         selfconjugate_paired_hooks(Partition([3, 1]), 3)  # not self-conjugate
     with pytest.raises(ValueError):
         selfconjugate_paired_hooks(Partition([3, 1, 1]), 3)  # a core, not a cocore
-
-
-def test_is_core_predicates():
-    assert is_bar_core(BarPartition([2]), 3)
-    assert not is_bar_core(BarPartition([3]), 3)
 
 
 def test_json_record():
