@@ -27,16 +27,17 @@ The classes validate their input; they are the view for rendering and JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
-from .partitions import BarPartition, FrobeniusSymbol, Partition, _shift
+from .partitions import BarPartition, FrobeniusSymbol, Partition, _as, _shift
 
 BLACK = "●"
 WHITE = "○"
 
 
 def _as_slot_set(xs: Iterable[int]) -> frozenset:
-    out = frozenset(int(x) for x in xs)
+    out = frozenset(map(index, xs))
     if any(x < 0 for x in out):
         raise ValueError("slot labels must be non-negative")
     return out
@@ -105,7 +106,7 @@ class FencedRunner:
 
     @classmethod
     def from_partition(cls, p: Partition) -> "FencedRunner":
-        fs = p.frobenius()
+        fs = _as(Partition, p).frobenius()
         return cls(frozenset(fs.arms), frozenset(fs.legs))
 
     def to_json(self) -> dict:
@@ -119,7 +120,7 @@ def reference_runner(m: int) -> FencedRunner:
 
 
 def _check_t(t: int) -> int:
-    t = int(t)
+    t = index(t)
     if t < 3 or t % 2 == 0:
         raise ValueError(f"t must be an odd integer >= 3, got {t}")
     return t
@@ -146,7 +147,7 @@ class BarAbacus:
     def from_partition(cls, lam: BarPartition, t: int) -> "BarAbacus":
         t = _check_t(t)
         runners = [set() for _ in range(t)]
-        for part in BarPartition(lam):
+        for part in _as(BarPartition, lam).parts:
             runners[part % t].add(part // t)
         return cls(t, tuple(frozenset(r) for r in runners))
 

@@ -89,7 +89,7 @@ from .littlewood import (
     ordinary_reconstruct,
     paired_parts,
 )
-from .partitions import BarPartition, Partition, _partitions_of, enumerate_partitions
+from .partitions import BarPartition, Partition, _as, _partitions_of, enumerate_partitions
 
 
 def strict_partitions_of(n: int) -> tuple[BarPartition, ...]:
@@ -119,8 +119,7 @@ class SpinBlockId:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.kappa, BarPartition):
-            object.__setattr__(self, "kappa", BarPartition(self.kappa))
+        object.__setattr__(self, "kappa", _as(BarPartition, self.kappa))
         GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
         if self.group not in (STILDE, ATILDE):
             raise ValueError(f"group must be {STILDE!r} or {ATILDE!r}")
@@ -141,8 +140,7 @@ class NonSpinBlockId:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.kappa, Partition):
-            object.__setattr__(self, "kappa", Partition(self.kappa))
+        object.__setattr__(self, "kappa", _as(Partition, self.kappa))
         GaloisElement(self.p)
         if not self.kappa.is_self_conjugate():
             raise ValueError(f"{self.kappa!r} is not self-conjugate")
@@ -235,8 +233,7 @@ def psi(source: SpinBlockId, target_core: BarPartition, allow_reversed: bool = F
     bijection but does not commute with the Galois action.
     """
     p = source.p
-    if not isinstance(target_core, BarPartition):
-        target_core = BarPartition(target_core)
+    target_core = _as(BarPartition, target_core)
     s_sign, t_sign = source.kappa.sign(), target_core.sign()
     if s_sign == t_sign:
         target_group = source.group
@@ -305,14 +302,6 @@ def _tau_of(label, f: GaloisElement) -> int:
     return label_tau(label, f)
 
 
-def _core_tau(kappa, f: GaloisElement) -> int:
-    """Sign of f on the pair labeled by a core: a bar core or a
-    self-conjugate one."""
-    if isinstance(kappa, BarPartition):
-        return tau_partition(kappa, f)
-    return tau_selfconjugate(kappa, f)
-
-
 def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     """Compare the permutation sign of every automorphism on each associate
     pair with the sign on its image; self-associate labels must map to
@@ -357,7 +346,8 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
     dst_core = getattr(lmap.target, "kappa", None)
     if src_core is not None and dst_core is not None:
         sigma = GaloisElement.sigma(p)
-        t1, t2 = _core_tau(src_core, sigma), _core_tau(dst_core, sigma)
+        tau = tau_selfconjugate if isinstance(lmap.source, NonSpinBlockId) else tau_partition
+        t1, t2 = tau(src_core, sigma), tau(dst_core, sigma)
         notes.append(f"core tau under sigma_p: source {t1}, target {t2}, matching={t1 == t2}")
     return VerificationReport("equivariance", p, 0, cases, tuple(violations), tuple(notes))
 
@@ -611,10 +601,12 @@ def _core_pairs(bound, p, w_max, related, groups):
     """(k1, k2, w, group) for each pair of related cores with matching
     sigma_p tau, each weight 1..w_max and each group (None: non-spin)."""
     sigma = GaloisElement.sigma(p)
-    cores = selfconjugate_cores(p, bound) if groups == (None,) else bar_cores(p, bound)
+    nonspin = groups == (None,)
+    cores = selfconjugate_cores(p, bound) if nonspin else bar_cores(p, bound)
+    tau = tau_selfconjugate if nonspin else tau_partition
     for k1 in cores:
         for k2 in cores:
-            if related(k1, k2) and _core_tau(k1, sigma) == _core_tau(k2, sigma):
+            if related(k1, k2) and tau(k1, sigma) == tau(k2, sigma):
                 for w in range(1, w_max + 1):
                     for group in groups:
                         yield k1, k2, w, group

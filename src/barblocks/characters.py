@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .galois import GaloisElement, tau_partition, tau_selfconjugate
-from .partitions import BarPartition, Partition
+from .partitions import BarPartition, Partition, _as
 
 STILDE = "stilde"
 ATILDE = "atilde"
@@ -28,8 +28,9 @@ _VARIANTS = (WHOLE, PLUS, MINUS)
 
 @dataclass(frozen=True)
 class CharLabel:
-    """One irreducible character: a partition (strict for spin labels), the
-    group, the flavor and the variant (whole, plus or minus).
+    """One irreducible character: a partition, the group, the flavor and the
+    variant (whole, plus or minus).  The partition is read by flavor: as a
+    BarPartition for a spin label and as a Partition for a non-spin one.
 
     The constructor checks each field alone, not the variant against the
     partition; ``classify`` is the source of valid labels.  ``psi`` and
@@ -50,8 +51,8 @@ class CharLabel:
             raise ValueError(f"flavor must be one of {_FLAVORS}")
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
-        if self.flavor == SPIN and not isinstance(self.partition, BarPartition):
-            raise ValueError("spin labels need a strict partition")
+        read = BarPartition if self.flavor == SPIN else Partition
+        object.__setattr__(self, "partition", _as(read, self.partition))
 
     def sort_key(self):
         return (self.partition.parts, _VARIANTS.index(self.variant))
@@ -69,10 +70,10 @@ def classify(partition: Partition, group: str, flavor: str = SPIN) -> tuple[Char
     """Labels carried by a partition: one self-associate label, or an
     associate plus/minus pair."""
     if flavor == SPIN:
-        lam = partition if isinstance(partition, BarPartition) else BarPartition(partition.parts)
+        lam = _as(BarPartition, partition)
         whole = lam.sign() == (1 if group == STILDE else -1)
     else:  # CharLabel refuses any other flavor
-        lam = partition
+        lam = _as(Partition, partition)
         # on the full group every label is self-associate; on the index-two
         # subgroup the self-conjugate partitions split
         whole = group == STILDE or not lam.is_self_conjugate()
@@ -87,7 +88,7 @@ def classify(partition: Partition, group: str, flavor: str = SPIN) -> tuple[Char
 def bar_hook_lengths(lam: BarPartition) -> tuple[int, ...]:
     """Bar hook lengths: for each part, its sums with the later parts plus
     the values 1..part not realized as a difference with a later part."""
-    parts = lam.parts
+    parts = _as(BarPartition, lam).parts
     out = []
     for i, a in enumerate(parts):
         later = parts[i + 1 :]
@@ -130,12 +131,12 @@ def _valuation(parts: tuple[int, ...], p: int, spin: bool) -> int:
 
 def spin_degree_valuation(lam: BarPartition, p: int) -> int:
     """nu_p of the spin character degree of a strict partition."""
-    return _valuation(lam.parts, p, True)
+    return _valuation(_as(BarPartition, lam).parts, p, True)
 
 
 def nonspin_degree_valuation(lam: Partition, p: int) -> int:
     """nu_p of the ordinary character degree (hook length formula)."""
-    return _valuation(lam.parts, p, False)
+    return _valuation(_as(Partition, lam).parts, p, False)
 
 
 def degree_valuation(label: CharLabel, p: int) -> int:

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
-from .partitions import BarPartition, Partition, _frobenius
+from .partitions import BarPartition, Partition, _as, _frobenius
 
 ORACLE_MAX_M = 10**6
 
@@ -199,13 +199,12 @@ def _tau_partition_cached(parts: tuple[int, ...], f: GaloisElement) -> int:
 def tau_partition(lam: BarPartition, f: GaloisElement) -> int:
     """Sign by which f permutes the associate pair labeled by a strict
     partition (+1 for the empty partition by convention)."""
-    if not isinstance(lam, BarPartition):
-        lam = BarPartition(lam)
-    return _tau_partition_cached(lam.parts, f)
+    return _tau_partition_cached(_as(BarPartition, lam).parts, f)
 
 
 def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
-    """The diagonal hooks 2a+1 of a self-conjugate partition, from one arm/leg walk."""
+    """The diagonal hooks 2a+1 of a self-conjugate partition; they sum to its size."""
+    lam = _as(Partition, lam)
     arms, legs = _frobenius(lam.parts)
     if arms != legs:
         raise ValueError(f"{lam!r} is not self-conjugate")
@@ -213,10 +212,8 @@ def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
 
 
 def tau_selfconjugate(lam: Partition, f: GaloisElement) -> int:
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
     hooks = _selfconjugate_hooks(lam)
-    return _tau_product(0, (lam.size - len(hooks)) // 2, hooks, f)
+    return _tau_product(0, (sum(hooks) - len(hooks)) // 2, hooks, f)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +287,7 @@ def diff_value(lam: BarPartition) -> SurdValue:
     """Nonzero value of the difference character attached to a strict
     partition, up to sign: sqrt(2) * i**((n-k+1)/2) * sqrt(prod parts) when
     the sign is -1, i**((n-k)/2) * sqrt(prod parts) when it is +1."""
-    if not isinstance(lam, BarPartition):
-        lam = BarPartition(lam)
+    lam = _as(BarPartition, lam)
     return SurdValue(*_diff_exponents(lam.size, lam.length), squarefree_of_product(lam.parts))
 
 
@@ -299,7 +295,7 @@ def selfconjugate_diff_value(lam: Partition) -> SurdValue:
     """Difference-character value for a self-conjugate partition: the part
     lengths are replaced by the diagonal hook lengths."""
     hooks = _selfconjugate_hooks(lam)
-    return SurdValue(0, (lam.size - len(hooks)) // 2, squarefree_of_product(hooks))
+    return SurdValue(0, (sum(hooks) - len(hooks)) // 2, squarefree_of_product(hooks))
 
 
 def _legendre_euler(a: int, q: int) -> int:

@@ -27,7 +27,7 @@ from .characters import (
 )
 from .galois import GaloisElement, tau_i, tau_partition
 from .littlewood import _BAR, _checked, _members, bar_decompose, bar_reconstruct
-from .partitions import BarPartition
+from .partitions import BarPartition, _as
 
 G = "g"
 GPLUS = "gplus"
@@ -46,6 +46,8 @@ class GCharLabel:
             raise ValueError(f"group must be one of {_GGROUPS}")
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
+        object.__setattr__(self, "mu", _as(BarPartition, self.mu))
+        object.__setattr__(self, "nu", _as(BarPartition, self.nu))
 
     def sort_key(self):
         return (self.mu.parts, self.nu.parts, _VARIANTS.index(self.variant))
@@ -67,8 +69,7 @@ class GBlockId:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.kappa, BarPartition):
-            object.__setattr__(self, "kappa", BarPartition(self.kappa))
+        object.__setattr__(self, "kappa", _as(BarPartition, self.kappa))
         GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
         if self.group not in _GGROUPS:
             raise ValueError(f"group must be one of {_GGROUPS}")
@@ -82,6 +83,7 @@ def classify_g(mu: BarPartition, nu: BarPartition, group: str) -> tuple[GCharLab
     """On the full twisted product, equal component signs give one
     self-associate label and opposite signs an associate pair; on the
     index-two subgroup the classification flips."""
+    mu, nu = _as(BarPartition, mu), _as(BarPartition, nu)
     same_sign = mu.sign() == nu.sign()
     whole = same_sign if group == G else not same_sign
     if whole:

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Callable, NamedTuple, Sequence
 
-from .partitions import BarPartition, Partition, _frobenius, _from_frobenius, _partitions_of, _shift
+from .partitions import BarPartition, Partition, _as, _frobenius, _from_frobenius, _partitions_of, _shift
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,10 @@ _ORDINARY = _Layout(
 
 def _checked(layout: _Layout, lam, m: int) -> tuple[tuple[int, ...], int]:
     """The parts of a label and its modulus, validated at the public boundary."""
-    if not isinstance(lam, layout.label):
-        lam = layout.label(lam)
+    lam, m = _as(layout.label, lam), index(m)
     if m % 2 == 0 or m < 3:
         raise ValueError(f"{layout.modulus}, got {m}")
-    return lam.parts, int(m)
+    return lam.parts, m
 
 
 def _runners(layout: _Layout, parts: tuple[int, ...], m: int):
@@ -171,9 +171,8 @@ def _decompose(layout: _Layout, parts: tuple[int, ...], m: int):
 
 
 def _reconstruct(layout: _Layout, core, quotient, m: int):
-    if not isinstance(core, layout.label):
-        core = layout.label(core)
-    quotient = tuple(q if isinstance(q, Partition) else Partition(q) for q in quotient)
+    core = _as(layout.label, core)
+    quotient = tuple(_as(Partition, q) for q in quotient)
     components = layout.head + layout.width(m)
     if len(quotient) != components:
         raise ValueError(f"quotient needs {components} components, got {len(quotient)}")
@@ -340,8 +339,7 @@ def selfconjugate_paired_hooks(lam: Partition, p: int) -> tuple[tuple[int, int],
     """Pair the diagonal hooks of a self-conjugate p-cocore across runners
     j and p-1-j; each pair sums to a multiple of 2p.  Hooks on the middle
     runner pair with themselves."""
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    lam = _as(Partition, lam)
     if not lam.is_self_conjugate():  # refused before _pairs checks p; the CLI relies on this order
         raise ValueError(f"{lam!r} is not self-conjugate")
     return _pairs(_ORDINARY, lam, p)

@@ -2,12 +2,17 @@
 
 Values are immutable: every operation returns a new object, so partitions can
 be shared freely between threads and used as dict keys.
+
+Every public callable that takes a partition reads it through ``_as``, the
+one read: a list or tuple of parts is the partition it spells, checked where
+it enters.  Parts are read by ``operator.index``, which refuses a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator
 
 
@@ -17,7 +22,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        pts = tuple(int(x) for x in parts)
+        pts = tuple(map(index, parts))
         for i, x in enumerate(pts):
             if x < 1:
                 raise ValueError(f"parts must be positive integers, got {x}")
@@ -133,6 +138,11 @@ class BarPartition(Partition):
                 raise ValueError(f"parts must be strictly decreasing, got {self.parts}")
 
 
+def _as(cls, value):
+    """value read as a cls: itself when it is one, else cls(value)."""
+    return value if isinstance(value, cls) else cls(value)
+
+
 @dataclass(frozen=True)
 class FrobeniusSymbol:
     """Equal-size sets of leg and arm lengths, stored sorted descending."""
@@ -141,8 +151,8 @@ class FrobeniusSymbol:
     arms: tuple[int, ...]
 
     def __post_init__(self):
-        legs = tuple(sorted({int(x) for x in self.legs}, reverse=True))
-        arms = tuple(sorted({int(x) for x in self.arms}, reverse=True))
+        legs = tuple(sorted(set(map(index, self.legs)), reverse=True))
+        arms = tuple(sorted(set(map(index, self.arms)), reverse=True))
         if len(legs) != len(self.legs) or len(arms) != len(self.arms):
             raise ValueError("arm and leg entries must be distinct")
         if any(x < 0 for x in legs + arms):

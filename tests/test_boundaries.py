@@ -1,10 +1,30 @@
 """Refusals and input coercions at the public boundary of each module."""
 
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
 import pytest
 
+import barblocks
 from barblocks.abacus import BarAbacus, FencedRunner, TwistedBarAbacus
-from barblocks.blocks import NonSpinBlockId, SpinBlockId, nonspin_psi, psi, spin_block_members
-from barblocks.characters import CharLabel
+from barblocks.blocks import (
+    NonSpinBlockId,
+    SpinBlockId,
+    equivariance_check,
+    nonspin_psi,
+    psi,
+    spin_block_members,
+)
+from barblocks.characters import (
+    CharLabel,
+    bar_hook_lengths,
+    classify,
+    nonspin_degree_valuation,
+    spin_degree_valuation,
+)
 from barblocks.galois import (
     GaloisElement,
     _apply_exponent,
@@ -12,13 +32,26 @@ from barblocks.galois import (
     _scaling_sign,
     diff_value,
     oracle_tau_sqrt,
+    selfconjugate_diff_value,
+    standard_generators,
     tau_partition,
     tau_selfconjugate,
     tau_sqrt,
 )
-from barblocks.humphreys import GBlockId, GCharLabel, block_members, cocores, phi
-from barblocks.littlewood import bar_reconstruct, ordinary_cocore, selfconjugate_paired_hooks
+from barblocks.humphreys import GBlockId, GCharLabel, block_members, classify_g, cocores, phi
+from barblocks.littlewood import (
+    bar_cocore,
+    bar_decompose,
+    bar_reconstruct,
+    ordinary_cocore,
+    ordinary_decompose,
+    ordinary_reconstruct,
+    paired_parts,
+    selfconjugate_paired_hooks,
+)
 from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "barblocks").glob("*.py"))
 
 SIGMA3 = GaloisElement.sigma(3)
 SPIN_1 = BarPartition([1])
@@ -62,6 +95,12 @@ REFUSALS = {
     "frobenius-negative": (
         lambda: FrobeniusSymbol((-1,), (0,)), "arm and leg entries must be non-negative",
     ),
+    "spin-label-not-strict": (
+        lambda: CharLabel([2, 2], "stilde", "spin", "whole"), "parts must be strictly decreasing",
+    ),
+    "g-char-label-not-strict": (
+        lambda: GCharLabel([1, 1], [2], "g", "whole"), "parts must be strictly decreasing",
+    ),
 }
 
 
@@ -78,19 +117,65 @@ def test_an_automorphism_that_does_not_scale_by_a_sign_is_refused():
         _scaling_sign(zeta8, 8, 3, _canon8)
 
 
+# row -> (the callable whose partition arguments the row passes as kind, the call)
 COERCIONS = {
-    "psi": lambda kind: psi(SpinBlockId(BarPartition(), 1, "stilde", 3), kind([1])),
-    "tau_partition": lambda kind: tau_partition(kind([2, 1]), SIGMA3),
-    "tau_selfconjugate": lambda kind: tau_selfconjugate(kind([2, 1]), SIGMA3),
-    "selfconjugate_paired_hooks": lambda kind: selfconjugate_paired_hooks(kind([2, 1]), 3),
-    "diff_value": lambda kind: diff_value(kind([2, 1])),
-    "bar_reconstruct": lambda kind: bar_reconstruct(kind([1]), (SPIN_1, Partition()), 3),
-    "spin_block_n": lambda kind: SpinBlockId(kind([]), 1, "stilde", 3).n,
-    "spin_block_members": lambda kind: spin_block_members(SpinBlockId(kind([]), 1, "stilde", 3)),
-    "g_block_members": lambda kind: block_members(GBlockId(kind([]), 1, "g", 3)),
-    "nonspin_block_n": lambda kind: NonSpinBlockId(kind([1]), 1, 3).n,
-    "nonspin_psi": lambda kind: nonspin_psi(kind([1]), kind([1]), 1, 3),
+    "psi": (psi, lambda kind: psi(SpinBlockId(BarPartition(), 1, "stilde", 3), kind([1]))),
+    "tau_partition": (tau_partition, lambda kind: tau_partition(kind([2, 1]), SIGMA3)),
+    "tau_selfconjugate": (tau_selfconjugate, lambda kind: tau_selfconjugate(kind([2, 1]), SIGMA3)),
+    "selfconjugate_paired_hooks": (
+        selfconjugate_paired_hooks, lambda kind: selfconjugate_paired_hooks(kind([2, 1]), 3),
+    ),
+    "diff_value": (diff_value, lambda kind: diff_value(kind([2, 1]))),
+    "bar_reconstruct": (
+        bar_reconstruct, lambda kind: bar_reconstruct(kind([1]), (SPIN_1, Partition()), 3),
+    ),
+    "spin_block_n": (SpinBlockId, lambda kind: SpinBlockId(kind([]), 1, "stilde", 3).n),
+    "spin_block_members": (
+        SpinBlockId, lambda kind: spin_block_members(SpinBlockId(kind([]), 1, "stilde", 3)),
+    ),
+    "g_block_members": (GBlockId, lambda kind: block_members(GBlockId(kind([]), 1, "g", 3))),
+    "nonspin_block_n": (NonSpinBlockId, lambda kind: NonSpinBlockId(kind([1]), 1, 3).n),
+    "nonspin_psi": (nonspin_psi, lambda kind: nonspin_psi(kind([1]), kind([1]), 1, 3)),
+    "fenced_runner": (
+        FencedRunner.from_partition, lambda kind: FencedRunner.from_partition(kind([2, 1])),
+    ),
+    "bar_abacus": (
+        BarAbacus.from_partition, lambda kind: BarAbacus.from_partition(kind([4, 2, 1]), 3),
+    ),
+    "spin_label": (CharLabel, lambda kind: CharLabel(kind([2, 1]), "stilde", "spin", "plus")),
+    "nonspin_label": (CharLabel, lambda kind: CharLabel(kind([2, 1]), "atilde", "nonspin", "plus")),
+    "classify": (classify, lambda kind: classify(kind([2, 1]), "stilde")),
+    "classify_nonspin": (classify, lambda kind: classify(kind([2, 1]), "atilde", "nonspin")),
+    "bar_hook_lengths": (bar_hook_lengths, lambda kind: bar_hook_lengths(kind([3, 2, 1]))),
+    "spin_degree_valuation": (
+        spin_degree_valuation, lambda kind: spin_degree_valuation(kind([3, 2, 1]), 3),
+    ),
+    "nonspin_degree_valuation": (
+        nonspin_degree_valuation, lambda kind: nonspin_degree_valuation(kind([3, 1]), 3),
+    ),
+    "selfconjugate_diff_value": (
+        selfconjugate_diff_value, lambda kind: selfconjugate_diff_value(kind([2, 1])),
+    ),
+    "g_char_label": (GCharLabel, lambda kind: GCharLabel(kind([2, 1]), kind([1]), "g", "plus")),
+    "classify_g": (classify_g, lambda kind: classify_g(kind([2, 1]), kind([1]), "g")),
+    "bar_decompose": (bar_decompose, lambda kind: bar_decompose(kind([5, 3, 1]), 3)),
+    "bar_cocore": (bar_cocore, lambda kind: bar_cocore(kind([5, 3, 1]), 3)),
+    "paired_parts": (paired_parts, lambda kind: paired_parts(kind([2, 1]), 3)),
+    "ordinary_decompose": (ordinary_decompose, lambda kind: ordinary_decompose(kind([3, 1]), 3)),
+    "ordinary_reconstruct": (
+        ordinary_reconstruct,
+        lambda kind: ordinary_reconstruct(kind([1]), (kind([]), kind([1]), kind([])), 3),
+    ),
+    "ordinary_cocore": (ordinary_cocore, lambda kind: ordinary_cocore(kind([3, 1]), 3)),
 }
+
+# public callables with a partition parameter that need no row: they are built
+# by the engine and returned, never called with a caller's partition
+NOT_ENTRY_POINTS = {
+    "littlewood.BarLittlewood": "the bar decomposition record, engine output",
+    "littlewood.OrdinaryLittlewood": "the ordinary decomposition record, engine output",
+}
+PARTITION_ANNOTATIONS = {"Partition", "BarPartition", "Sequence[Partition]"}
 
 
 BLOCK_IDS = {
@@ -107,9 +192,115 @@ def test_block_ids_refuse_a_p_that_is_not_an_odd_prime(block, p):
         block(p)
 
 
-@pytest.mark.parametrize("call", COERCIONS.values(), ids=list(COERCIONS))
+@pytest.mark.parametrize("call", [call for _, call in COERCIONS.values()], ids=list(COERCIONS))
 def test_a_list_is_read_as_the_bar_partition_it_spells(call):
-    assert call(list) == call(BarPartition)
+    assert call(list) == call(tuple) == call(BarPartition)
+
+
+def _name(target) -> str:
+    return f"{target.__module__.rsplit('.', 1)[1]}.{target.__qualname__}"
+
+
+def _partition_callables() -> set[str]:
+    """module.qualname of each public module-level function and class of the
+    package, and of each public classmethod of those classes, that has a
+    parameter annotated as a partition."""
+    found = set()
+    for info in pkgutil.iter_modules(barblocks.__path__):
+        module = importlib.import_module(f"barblocks.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            targets = [obj]
+            if inspect.isclass(obj):
+                targets += [
+                    getattr(obj, key) for key, value in vars(obj).items()
+                    if isinstance(value, classmethod) and not key.startswith("_")
+                ]
+            for target in targets:
+                parameters = inspect.signature(target).parameters.values()
+                if any(param.annotation in PARTITION_ANNOTATIONS for param in parameters):
+                    found.add(_name(target))
+    return found
+
+
+def test_every_partition_argument_has_a_coercion_row():
+    found = _partition_callables()
+    assert set(NOT_ENTRY_POINTS) <= found
+    assert found - set(NOT_ENTRY_POINTS) == {_name(target) for target, _ in COERCIONS.values()}
+
+
+def _class_tests(tree: ast.Module):
+    """Line of each isinstance call whose class argument names a partition class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = {
+                ast.unparse(name) for name in ast.walk(node.args[1])
+                if isinstance(name, (ast.Name, ast.Attribute))
+            }
+            if classes & {"Partition", "BarPartition", "layout.label"}:
+                yield node.lineno
+
+
+def test_only_partitions_asks_a_partition_for_its_class():
+    """partitions._as is the one read of a partition argument."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in SOURCES
+        if path.stem != "partitions"
+        for line in _class_tests(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_a_class_test_left_behind_is_found():
+    tree = ast.parse(
+        "if not isinstance(lam, layout.label):\n    lam = layout.label(lam)\n"
+        "ok = isinstance(x, (int, BarPartition))\n"
+        "other = isinstance(x, GBlockId)\n"
+    )
+    assert sorted(_class_tests(tree)) == [1, 3]
+
+
+# a part, a Frobenius coordinate, a slot, t or m that is not an integer is
+# refused, not truncated
+NON_INTEGERS = {
+    "partition-part": lambda: Partition([2.7, 1]),
+    "partition-text-part": lambda: Partition(["3"]),
+    "frobenius-leg": lambda: FrobeniusSymbol((1.5,), (0,)),
+    "frobenius-arm": lambda: FrobeniusSymbol((0,), (1.5,)),
+    "fenced-runner-slot": lambda: FencedRunner({1.5}, ()),
+    "abacus-t": lambda: BarAbacus.from_partition([2, 1], 3.0),
+    "decompose-modulus": lambda: bar_decompose([2, 1], 3.5),
+}
+
+
+@pytest.mark.parametrize("make", NON_INTEGERS.values(), ids=list(NON_INTEGERS))
+def test_a_non_integer_is_refused_not_truncated(make):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        make()
+
+
+def test_a_spin_label_reads_its_partition_as_strict():
+    """CharLabel accepts a Partition with distinct parts, as classify does."""
+    label = CharLabel(Partition([2, 1]), "stilde", "spin", "plus")
+    assert label == CharLabel(BarPartition([2, 1]), "stilde", "spin", "plus")
+    assert type(label.partition) is BarPartition
+    assert classify(Partition([2, 1]), "stilde") == classify(BarPartition([2, 1]), "stilde")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_the_core_tau_note_does_not_depend_on_the_class_of_the_cores(p):
+    """A non-spin block takes the self-conjugate tau of its cores even when
+    the strict cores [2, 1] and [1] arrive as BarPartitions."""
+
+    def notes(kind):
+        lmap = nonspin_psi(kind([2, 1]), kind([1]), 1, p)
+        return equivariance_check(lmap, standard_generators(p)).notes
+
+    assert notes(BarPartition) == notes(Partition)
 
 
 def test_ordinary_cocore_of_a_cocore_is_itself():
