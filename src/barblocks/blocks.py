@@ -120,6 +120,7 @@ class SpinBlockId:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", _as(BarPartition, self.kappa))
+        object.__setattr__(self, "w", operator.index(self.w))
         GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
         if self.group not in (STILDE, ATILDE):
             raise ValueError(f"group must be {STILDE!r} or {ATILDE!r}")
@@ -141,6 +142,7 @@ class NonSpinBlockId:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", _as(Partition, self.kappa))
+        object.__setattr__(self, "w", operator.index(self.w))
         GaloisElement(self.p)
         if not self.kappa.is_self_conjugate():
             raise ValueError(f"{self.kappa!r} is not self-conjugate")

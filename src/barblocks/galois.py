@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Iterable
 
 from .partitions import BarPartition, Partition, _as, _frobenius
@@ -100,6 +101,8 @@ class GaloisElement:
     s: int = 1
 
     def __post_init__(self):
+        for name in ("p", "e", "s"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if not _is_odd_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.e < 0:

@@ -11,6 +11,7 @@ which add across the two factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .characters import (
     ATILDE,
@@ -70,6 +71,7 @@ class GBlockId:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", _as(BarPartition, self.kappa))
+        object.__setattr__(self, "w", index(self.w))
         GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
         if self.group not in _GGROUPS:
             raise ValueError(f"group must be one of {_GGROUPS}")

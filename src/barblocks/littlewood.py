@@ -16,16 +16,19 @@ below slot x.
   (below) of the Frobenius symbol, so conjugation is the runner reflection
   j <-> p-1-j.
 
-Each runner is normalized by the shift of minus its charnum.  The shifts form
-the characteristic vector, whose reference runners give the core; the pointed
-runners give the quotient and the cocore.  d counts the beads whose numbers
-vanish when the shifts are reapplied, which makes ``length == core.length +
-cocore.length - 2*d`` exact (for a self-conjugate partition, the same identity
-of Durfee sizes).  The runners counted for d are those whose beads pair up on
-a cocore: all runners for bar, one of each pair {j, p-1-j} for ordinary.
+Each runner is normalized by the shift of minus its charnum, once per
+distinct runner (``_normalized``, shared by both layouts).  The shifts form
+the characteristic vector, whose reference runners give the core, built once
+per vector (``_core``); the pointed runners give the quotient and the cocore.
+d counts the beads whose numbers vanish when the shifts are reapplied, which
+makes ``length == core.length + cocore.length - 2*d`` exact (for a
+self-conjugate partition, the same identity of Durfee sizes).  The runners
+counted for d are those whose beads pair up on a cocore: all runners for bar,
+one of each pair {j, p-1-j} for ordinary.
 
 Blocks run the engine backwards.  ``_members`` lists the labels with a given
-core and weight by reconstructing every quotient of that weight, and
+core and weight by reconstructing every quotient of that weight, each
+component placed on a runner of a given charnum once (``_placed``), and
 ``_cores`` lists the cores of both kinds, t-bar cores and self-conjugate
 p-cores, as the cores of the characteristic vectors within a size budget.
 The moduli are odd integers >= 3, not only primes: the engine needs no more.
@@ -150,24 +153,38 @@ def _label_parts(layout: _Layout, runner0, runners, m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _normalized(runner: tuple) -> tuple:
+    """(c, pointed runner, quotient component, d-count) of one runner: its
+    charnum c, its shift by -c, the Frobenius reading of that shift, and how
+    many beads of the shift have numbers that vanish when c is reapplied."""
+    above, below = runner
+    c = len(above) - len(below)
+    above, below = _shift(above, below, -c)
+    d = sum(1 for x in (below if c > 0 else above) if x < abs(c))
+    return c, (above, below), Partition(_from_frobenius(above, below)), d
+
+
+@lru_cache(maxsize=None)
+def _core(layout: _Layout, charvec: tuple[int, ...], m: int):
+    """The label whose runners are the reference runners of charvec."""
+    return layout.label(_label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
+
+
+@lru_cache(maxsize=None)
+def _placed(parts: tuple[int, ...], c: int) -> tuple:
+    """The runner of charnum c whose pointed runner reads as parts."""
+    return _shift(*_frobenius(parts), c)
+
+
+@lru_cache(maxsize=None)
 def _decompose(layout: _Layout, parts: tuple[int, ...], m: int):
     runner0, runners = _runners(layout, parts, m)
-    charvec, pointed, d = [], [], 0
-    counted = layout.counted(m)
-    for j, (above, below) in enumerate(runners):
-        c = len(above) - len(below)
-        above, below = _shift(above, below, -c)
-        charvec.append(c)
-        pointed.append((above, below))
-        if j < counted:
-            d += sum(1 for x in (below if c > 0 else above) if x < abs(c))
-
-    quotient = (BarPartition(runner0),) * layout.head
-    quotient += tuple(Partition(_from_frobenius(a, b)) for a, b in pointed)
-    core = layout.label(_label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
+    charvec, pointed, quotient, d = zip(*map(_normalized, runners))
+    quotient = (BarPartition(runner0),) * layout.head + quotient
     cocore = layout.label(_label_parts(layout, runner0, pointed, m))
     weight = sum(q.size for q in quotient)
-    return layout.record(core, quotient, tuple(charvec), weight, cocore, d)
+    d = sum(d[: layout.counted(m)])
+    return layout.record(_core(layout, charvec, m), quotient, charvec, weight, cocore, d)
 
 
 def _reconstruct(layout: _Layout, core, quotient, m: int):
@@ -180,9 +197,7 @@ def _reconstruct(layout: _Layout, core, quotient, m: int):
     if dec.weight != 0:
         raise ValueError(f"{core!r} is not a {m}-core")
     runner0 = BarPartition(quotient[0].parts).parts if layout.head else ()
-    runners = [
-        _shift(*_frobenius(q.parts), c) for c, q in zip(dec.charvec, quotient[layout.head:])
-    ]
+    runners = [_placed(q.parts, c) for c, q in zip(dec.charvec, quotient[layout.head:])]
     return layout.label(_label_parts(layout, runner0, runners, m))
 
 
@@ -219,7 +234,7 @@ def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
     # columns[k][s]: the values component k can take at size s, as runner-0
     # slots for the head and as shifted runners for the fenced runners
     columns = [
-        [[_shift(*_frobenius(q.parts), c) for q in _partitions_of(s, "all")] for s in range(w + 1)]
+        [[_placed(q.parts, c) for q in _partitions_of(s, "all")] for s in range(w + 1)]
         for c in charvec
     ]
     if layout.head:
@@ -267,9 +282,9 @@ def _cores(layout: _Layout, m: int, max_size: int) -> tuple:
     for charvec, _ in _depth_first(len(options), choices, max_size):
         if not layout.head:
             charvec = charvec + [0] + [-c for c in reversed(charvec)]
-        cores.append(_label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
+        cores.append(_core(layout, tuple(charvec), m))
     cores.sort(reverse=True)
-    return tuple(map(layout.label, sorted(cores, key=sum)))
+    return tuple(sorted(cores, key=lambda kappa: kappa.size))
 
 
 def _pairs(layout: _Layout, lam, m: int) -> tuple[tuple[int, int], ...]:

@@ -264,8 +264,8 @@ def test_a_class_test_left_behind_is_found():
     assert sorted(_class_tests(tree)) == [1, 3]
 
 
-# a part, a Frobenius coordinate, a slot, t or m that is not an integer is
-# refused, not truncated
+# a part, a Frobenius coordinate, a slot, t or m, a Galois exponent or a block
+# weight that is not an integer is refused, not truncated
 NON_INTEGERS = {
     "partition-part": lambda: Partition([2.7, 1]),
     "partition-text-part": lambda: Partition(["3"]),
@@ -274,6 +274,12 @@ NON_INTEGERS = {
     "fenced-runner-slot": lambda: FencedRunner({1.5}, ()),
     "abacus-t": lambda: BarAbacus.from_partition([2, 1], 3.0),
     "decompose-modulus": lambda: bar_decompose([2, 1], 3.5),
+    "galois-element-p": lambda: GaloisElement(3.0),
+    "galois-element-e": lambda: GaloisElement(5, 1.5),
+    "galois-element-s": lambda: GaloisElement(5, 1, 2.0),
+    "spin-block-weight": lambda: SpinBlockId([], 1.5, "stilde", 3),
+    "nonspin-block-weight": lambda: NonSpinBlockId([], 1.5, 3),
+    "g-block-weight": lambda: GBlockId([], 1.5, "g", 3),
 }
 
 

@@ -2,10 +2,12 @@ import ast
 import dataclasses
 import hashlib
 import json
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 
+from barblocks import littlewood, partitions
 from barblocks.littlewood import (
     BarLittlewood,
     OrdinaryLittlewood,
@@ -326,3 +328,31 @@ def test_golden_digest_of_records():
         digest.update(json.dumps(rec).encode() + b"\n")
         count += 1
     assert (count, digest.hexdigest()) == (4562, GOLDEN_DIGEST)
+
+
+def _clear_memos():
+    for module in (littlewood, partitions):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_the_shared_memos_do_not_depend_on_the_order_of_calls():
+    """The bar and ordinary layouts share the per-runner memo: records built
+    with bar and ordinary calls interleaved, then again from cleared memos in
+    the reverse order, are the same, and their cores are the removal cores."""
+    calls = []
+    for p in (3, 5, 7, 13):
+        bar = [(bar_decompose, lam, p) for lam in strict_upto(24)]
+        ordinary = [(ordinary_decompose, lam, p) for lam in all_upto(14)]
+        calls += [call for pair in zip_longest(bar, ordinary) for call in pair if call]
+
+    def records(order):
+        _clear_memos()
+        return {(f, lam, p): f(lam, p).to_json() for f, lam, p in order}
+
+    forward = records(calls)
+    assert records(calls[::-1]) == forward
+    oracle = {bar_decompose: bar_core_by_removal, ordinary_decompose: p_core_by_hook_removal}
+    for (f, lam, p), record in forward.items():
+        assert record["core"] == oracle[f](lam, p).to_json()
