@@ -26,11 +26,10 @@ The classes validate their input; they are the view for rendering and JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import index
-from typing import Iterable
 
-from .partitions import BarPartition, FrobeniusSymbol, Partition, _as, _shift
+from .partitions import BarPartition, FrobeniusSymbol, Partition, _as, _Record, _shift
 
 BLACK = "●"
 WHITE = "○"
@@ -43,16 +42,14 @@ def _as_slot_set(xs: Iterable[int]) -> frozenset:
     return out
 
 
-@dataclass(frozen=True)
-class FencedRunner:
+class FencedRunner(_Record):
     """One fenced runner, stored as its deviation from the default coloring."""
 
-    black_above: frozenset = frozenset()
-    white_below: frozenset = frozenset()
+    __slots__ = ("black_above", "white_below")
 
-    def __post_init__(self):
-        object.__setattr__(self, "black_above", _as_slot_set(self.black_above))
-        object.__setattr__(self, "white_below", _as_slot_set(self.white_below))
+    def __init__(self, black_above: frozenset = frozenset(), white_below: frozenset = frozenset()):
+        object.__setattr__(self, "black_above", _as_slot_set(black_above))
+        object.__setattr__(self, "white_below", _as_slot_set(white_below))
 
     @property
     def charnum(self) -> int:
@@ -126,16 +123,14 @@ def _check_t(t: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class BarAbacus:
+class BarAbacus(_Record):
     """t-runner abacus of a strict partition: black slots per residue runner."""
 
-    t: int
-    runners: tuple[frozenset, ...]
+    __slots__ = ("t", "runners")
 
-    def __post_init__(self):
-        t = _check_t(self.t)
-        runners = tuple(_as_slot_set(r) for r in self.runners)
+    def __init__(self, t: int, runners: tuple[frozenset, ...]):
+        t = _check_t(t)
+        runners = tuple(_as_slot_set(r) for r in runners)
         if len(runners) != t:
             raise ValueError(f"need {t} runners, got {len(runners)}")
         if 0 in runners[0]:
@@ -169,20 +164,17 @@ class BarAbacus:
         return {"t": self.t, "runners": [sorted(r) for r in self.runners]}
 
 
-@dataclass(frozen=True)
-class TwistedBarAbacus:
+class TwistedBarAbacus(_Record):
     """Folded form: runner 0 plus one fenced runner per residue pair (r, t-r)."""
 
-    t: int
-    runner0: frozenset
-    shifted: tuple[FencedRunner, ...]
+    __slots__ = ("t", "runner0", "shifted")
 
-    def __post_init__(self):
-        t = _check_t(self.t)
-        runner0 = _as_slot_set(self.runner0)
+    def __init__(self, t: int, runner0: frozenset, shifted: tuple[FencedRunner, ...]):
+        t = _check_t(t)
+        runner0 = _as_slot_set(runner0)
         if 0 in runner0:
             raise ValueError("runner 0 cannot use slot 0")
-        shifted = tuple(self.shifted)
+        shifted = tuple(shifted)
         if len(shifted) != (t - 1) // 2:
             raise ValueError(f"need {(t - 1) // 2} shifted runners, got {len(shifted)}")
         object.__setattr__(self, "t", t)

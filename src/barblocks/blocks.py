@@ -40,7 +40,6 @@ a name, like a call tracer or a test's monkeypatch, then sees every call.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .abacus import BarAbacus
@@ -89,7 +88,7 @@ from .littlewood import (
     ordinary_reconstruct,
     paired_parts,
 )
-from .partitions import BarPartition, Partition, _as, _partitions_of, enumerate_partitions
+from .partitions import BarPartition, Partition, _as, _partitions_of, _Record, enumerate_partitions
 
 
 def strict_partitions_of(n: int) -> tuple[BarPartition, ...]:
@@ -111,45 +110,38 @@ def selfconjugate_cores(p: int, max_size: int) -> tuple[Partition, ...]:
     return _cores(_ORDINARY, p, max_size)
 
 
-@dataclass(frozen=True)
-class SpinBlockId:
-    kappa: BarPartition
-    w: int
-    group: str
-    p: int
+class SpinBlockId(_Record):
+    __slots__ = ("kappa", "w", "group", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", _as(BarPartition, self.kappa))
-        object.__setattr__(self, "w", operator.index(self.w))
-        GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
-        if self.group not in (STILDE, ATILDE):
+    def __init__(self, kappa: BarPartition, w: int, group: str, p: int):
+        kappa, w = _as(BarPartition, kappa), operator.index(w)
+        GaloisElement(p)  # raises "p must be an odd prime, got ..." for any other p
+        if group not in (STILDE, ATILDE):
             raise ValueError(f"group must be {STILDE!r} or {ATILDE!r}")
-        if self.w < 0:
+        if w < 0:
             raise ValueError("w must be non-negative")
-        if bar_decompose(self.kappa, self.p).weight != 0:
-            raise ValueError(f"{self.kappa!r} is not a {self.p}-bar core")
+        if bar_decompose(kappa, p).weight != 0:
+            raise ValueError(f"{kappa!r} is not a {p}-bar core")
+        self._set(kappa, w, group, p)
 
     @property
     def n(self) -> int:
         return self.kappa.size + self.p * self.w
 
 
-@dataclass(frozen=True)
-class NonSpinBlockId:
-    kappa: Partition
-    w: int
-    p: int
+class NonSpinBlockId(_Record):
+    __slots__ = ("kappa", "w", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", _as(Partition, self.kappa))
-        object.__setattr__(self, "w", operator.index(self.w))
-        GaloisElement(self.p)
-        if not self.kappa.is_self_conjugate():
-            raise ValueError(f"{self.kappa!r} is not self-conjugate")
-        if ordinary_decompose(self.kappa, self.p).weight != 0:
-            raise ValueError(f"{self.kappa!r} is not a {self.p}-core")
-        if self.w < 0:
+    def __init__(self, kappa: Partition, w: int, p: int):
+        kappa, w = _as(Partition, kappa), operator.index(w)
+        GaloisElement(p)
+        if not kappa.is_self_conjugate():
+            raise ValueError(f"{kappa!r} is not self-conjugate")
+        if ordinary_decompose(kappa, p).weight != 0:
+            raise ValueError(f"{kappa!r} is not a {p}-core")
+        if w < 0:
             raise ValueError("w must be non-negative")
+        self._set(kappa, w, p)
 
     @property
     def n(self) -> int:
@@ -205,11 +197,11 @@ def _heights_of(block, members) -> tuple:
     return height_and_defect(members, block.n, block.p)
 
 
-@dataclass(frozen=True)
-class LabelMap:
-    source: object
-    target: object
-    pairs: tuple[tuple[object, object], ...]
+class LabelMap(_Record):
+    __slots__ = ("source", "target", "pairs")
+
+    def __init__(self, source: object, target: object, pairs: tuple[tuple[object, object], ...]):
+        self._set(source, target, pairs)
 
     def as_dict(self) -> dict:
         return dict(self.pairs)
@@ -274,14 +266,12 @@ def nonspin_psi(kappa: Partition, target_core: Partition, w: int, p: int) -> Lab
 # verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    p: int
-    bound: int
-    cases: int
-    violations: tuple[dict, ...]
-    notes: tuple[str, ...] = field(default=())
+class VerificationReport(_Record):
+    __slots__ = ("suite", "p", "bound", "cases", "violations", "notes")
+
+    def __init__(self, suite: str, p: int, bound: int, cases: int, violations: tuple[dict, ...],
+                 notes: tuple[str, ...] = ()):
+        self._set(suite, p, bound, cases, violations, notes)
 
     @property
     def passed(self) -> bool:

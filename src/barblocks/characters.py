@@ -7,11 +7,10 @@ open by the degree formula is invisible to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .galois import GaloisElement, tau_partition, tau_selfconjugate
-from .partitions import BarPartition, Partition, _as
+from .partitions import BarPartition, Partition, _as, _Record
 
 STILDE = "stilde"
 ATILDE = "atilde"
@@ -26,8 +25,7 @@ _FLAVORS = (SPIN, NONSPIN)
 _VARIANTS = (WHOLE, PLUS, MINUS)
 
 
-@dataclass(frozen=True)
-class CharLabel:
+class CharLabel(_Record):
     """One irreducible character: a partition, the group, the flavor and the
     variant (whole, plus or minus).  The partition is read by flavor: as a
     BarPartition for a spin label and as a Partition for a non-spin one.
@@ -39,20 +37,20 @@ class CharLabel:
     instead of failing while the map is built.
     """
 
-    partition: Partition
-    group: str
-    flavor: str
-    variant: str
+    __slots__ = ("partition", "group", "flavor", "variant")
 
-    def __post_init__(self):
-        if self.group not in _GROUPS:
+    def __init__(self, partition: Partition, group: str, flavor: str, variant: str):
+        if group not in _GROUPS:
             raise ValueError(f"group must be one of {_GROUPS}")
-        if self.flavor not in _FLAVORS:
+        if flavor not in _FLAVORS:
             raise ValueError(f"flavor must be one of {_FLAVORS}")
-        if self.variant not in _VARIANTS:
+        if variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
-        read = BarPartition if self.flavor == SPIN else Partition
-        object.__setattr__(self, "partition", _as(read, self.partition))
+        read = BarPartition if flavor == SPIN else Partition
+        object.__setattr__(self, "partition", _as(read, partition))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "variant", variant)
 
     def sort_key(self):
         return (self.partition.parts, _VARIANTS.index(self.variant))

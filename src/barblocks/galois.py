@@ -30,13 +30,12 @@ oracle depend on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd
 from operator import index
-from typing import Iterable
 
-from .partitions import BarPartition, Partition, _as, _frobenius
+from .partitions import BarPartition, Partition, _as, _frobenius, _Record
 
 ORACLE_MAX_M = 10**6
 
@@ -91,25 +90,23 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GaloisElement:
+class GaloisElement(_Record):
     """Automorphism acting by zeta -> zeta**(p**e) on p'-roots of unity and
     by zeta_p -> zeta_p**s on p-th roots."""
 
-    p: int
-    e: int = 1
-    s: int = 1
+    __slots__ = ("p", "e", "s")
 
-    def __post_init__(self):
-        for name in ("p", "e", "s"):
-            object.__setattr__(self, name, index(getattr(self, name)))
-        if not _is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.e < 0:
+    def __init__(self, p: int, e: int = 1, s: int = 1):
+        p, e, s = index(p), index(e), index(s)
+        if not _is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if e < 0:
             raise ValueError("e must be non-negative")
-        s = self.s % self.p
+        s %= p
         if s == 0:
             raise ValueError("s must be coprime to p")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
         object.__setattr__(self, "s", s)
 
     @classmethod
@@ -264,22 +261,18 @@ def squarefree_of_product(xs: Iterable[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class SurdValue:
+class SurdValue(_Record):
     """Exact value sqrt(2)**two_exp * i**i_exp * sqrt(radicand), with the
     square part of the radicand discarded (it never moves under Galois)."""
 
-    two_exp: int
-    i_exp: int
-    radicand: int
+    __slots__ = ("two_exp", "i_exp", "radicand")
 
-    def __post_init__(self):
-        if self.two_exp not in (0, 1):
+    def __init__(self, two_exp: int, i_exp: int, radicand: int):
+        if two_exp not in (0, 1):
             raise ValueError("two_exp must be 0 or 1")
-        if self.radicand < 1:
+        if radicand < 1:
             raise ValueError("radicand must be positive")
-        object.__setattr__(self, "i_exp", self.i_exp % 4)
-        object.__setattr__(self, "radicand", squarefree_part(self.radicand))
+        self._set(two_exp, i_exp % 4, squarefree_part(radicand))
 
     @classmethod
     def one(cls) -> "SurdValue":

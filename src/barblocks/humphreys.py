@@ -10,7 +10,6 @@ which add across the two factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 from .characters import (
@@ -28,27 +27,25 @@ from .characters import (
 )
 from .galois import GaloisElement, tau_i, tau_partition
 from .littlewood import _BAR, _checked, _members, bar_decompose, bar_reconstruct
-from .partitions import BarPartition, _as
+from .partitions import BarPartition, _as, _Record
 
 G = "g"
 GPLUS = "gplus"
 _GGROUPS = (G, GPLUS)
 
 
-@dataclass(frozen=True)
-class GCharLabel:
-    mu: BarPartition
-    nu: BarPartition
-    group: str
-    variant: str
+class GCharLabel(_Record):
+    __slots__ = ("mu", "nu", "group", "variant")
 
-    def __post_init__(self):
-        if self.group not in _GGROUPS:
+    def __init__(self, mu: BarPartition, nu: BarPartition, group: str, variant: str):
+        if group not in _GGROUPS:
             raise ValueError(f"group must be one of {_GGROUPS}")
-        if self.variant not in _VARIANTS:
+        if variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
-        object.__setattr__(self, "mu", _as(BarPartition, self.mu))
-        object.__setattr__(self, "nu", _as(BarPartition, self.nu))
+        object.__setattr__(self, "mu", _as(BarPartition, mu))
+        object.__setattr__(self, "nu", _as(BarPartition, nu))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "variant", variant)
 
     def sort_key(self):
         return (self.mu.parts, self.nu.parts, _VARIANTS.index(self.variant))
@@ -62,23 +59,19 @@ class GCharLabel:
         }
 
 
-@dataclass(frozen=True)
-class GBlockId:
-    kappa: BarPartition
-    w: int
-    group: str
-    p: int
+class GBlockId(_Record):
+    __slots__ = ("kappa", "w", "group", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", _as(BarPartition, self.kappa))
-        object.__setattr__(self, "w", index(self.w))
-        GaloisElement(self.p)  # raises "p must be an odd prime, got ..." for any other p
-        if self.group not in _GGROUPS:
+    def __init__(self, kappa: BarPartition, w: int, group: str, p: int):
+        kappa, w = _as(BarPartition, kappa), index(w)
+        GaloisElement(p)  # raises "p must be an odd prime, got ..." for any other p
+        if group not in _GGROUPS:
             raise ValueError(f"group must be one of {_GGROUPS}")
-        if self.w < 1:
+        if w < 1:
             raise ValueError("w must be positive")
-        if bar_decompose(self.kappa, self.p).weight != 0:
-            raise ValueError(f"{self.kappa!r} is not a {self.p}-bar core")
+        if bar_decompose(kappa, p).weight != 0:
+            raise ValueError(f"{kappa!r} is not a {p}-bar core")
+        self._set(kappa, w, group, p)
 
 
 def classify_g(mu: BarPartition, nu: BarPartition, group: str) -> tuple[GCharLabel, ...]:

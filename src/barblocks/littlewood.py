@@ -36,25 +36,30 @@ The moduli are odd integers >= 3, not only primes: the engine needs no more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import index
-from typing import Callable, NamedTuple, Sequence
 
-from .partitions import BarPartition, Partition, _as, _frobenius, _from_frobenius, _partitions_of, _shift
+from .partitions import (
+    BarPartition, Partition, _as, _frobenius, _from_frobenius, _partitions_of, _Record, _shift,
+)
 
 
-@dataclass(frozen=True)
-class _Record:
+class _Decomposition(_Record):
     """A decomposition: core, quotient, characteristic vector, weight, cocore
     and d."""
 
-    core: Partition
-    quotient: tuple[Partition, ...]
-    charvec: tuple[int, ...]
-    weight: int
-    cocore: Partition
-    d: int
+    __slots__ = ("core", "quotient", "charvec", "weight", "cocore", "d")
+
+    def __init__(self, core: Partition, quotient: tuple[Partition, ...], charvec: tuple[int, ...],
+                 weight: int, cocore: Partition, d: int):
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "charvec", charvec)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "cocore", cocore)
+        object.__setattr__(self, "d", d)
 
     def to_json(self) -> dict:
         return {
@@ -67,30 +72,29 @@ class _Record:
         }
 
 
-@dataclass(frozen=True)
-class BarLittlewood(_Record):
+class BarLittlewood(_Decomposition):
     """Decomposition record of a bar-partition for an odd t."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class OrdinaryLittlewood(_Record):
+
+class OrdinaryLittlewood(_Decomposition):
     """Decomposition record of an ordinary partition for an odd p."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # the engine
 
 
-class _Layout(NamedTuple):
-    record: type
-    label: type
-    modulus: str  # the rule on m, for error messages
-    head: int  # quotient components, and residues, read off directly
-    width: Callable[[int], int]  # number of runners at modulus m
-    counted: Callable[[int], int]  # runners 0..counted-1 count toward d and pair up
-    numbers: Callable  # (parts, m) -> (runner-0 slots, above numbers, below numbers)
-    parts: Callable  # inverse of numbers
-    pair: Callable[[int], int]  # printed form of a paired number
+# record, label: the classes of a decomposition and of a label; modulus: the
+# rule on m, for error messages; head: quotient components, and residues, read
+# off directly; width(m): runners at modulus m; counted(m): runners
+# 0..counted-1 count toward d and pair up; numbers(parts, m) -> (runner-0
+# slots, above numbers, below numbers), and parts its inverse; pair(x): the
+# printed form of a paired number.
+_Layout = namedtuple("_Layout", "record label modulus head width counted numbers parts pair")
 
 
 _BAR = _Layout(

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -330,7 +329,7 @@ def _doctored(name, make):
 
 
 def _shift_d(dec):
-    return dataclasses.replace(dec, d=dec.d + 1)
+    return dec._replace(d=dec.d + 1)
 
 
 def _extra_part(kind):
@@ -370,11 +369,11 @@ def _negated_where(name, where):
 
 def _other_variant(glabel):
     other = {"plus": "minus", "minus": "plus"}
-    return dataclasses.replace(glabel, variant=other.get(glabel.variant, glabel.variant))
+    return glabel._replace(variant=other.get(glabel.variant, glabel.variant))
 
 
 def _other_group(label):
-    return dataclasses.replace(label, group=ATILDE if label.group == STILDE else STILDE)
+    return label._replace(group=ATILDE if label.group == STILDE else STILDE)
 
 
 class _EmptyFrobenius(BarPartition):
@@ -416,12 +415,12 @@ WITNESS_CASES = [
     ),
     (
         "signs", 3,
-        _doctored("bar_decompose", lambda dec: dataclasses.replace(dec, cocore=BarPartition([2]))),
+        _doctored("bar_decompose", lambda dec: dec._replace(cocore=BarPartition([2]))),
         {"lambda": [], "sign": 1, "core_sign": 1, "cocore_sign": -1},
     ),
     (
         "sizes", 3,
-        _doctored("bar_decompose", lambda dec: dataclasses.replace(dec, weight=dec.weight + 1)),
+        _doctored("bar_decompose", lambda dec: dec._replace(weight=dec.weight + 1)),
         {"lambda": [], "size": 0, "core_size": 0, "weight": 1},
     ),
     (

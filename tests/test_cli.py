@@ -364,17 +364,20 @@ MODULE_BUDGETS = {
 @pytest.mark.parametrize("argv", MODULE_BUDGETS, ids=" ".join)
 def test_each_command_loads_only_the_modules_it_uses(argv):
     """A command imports its library modules when it runs, so a process pays
-    the import (and, without a bytecode cache, the compile) of those alone."""
+    the import (and, without a bytecode cache, the compile) of those alone.
+    No command loads dataclasses or inspect, which cost a process about 7 ms."""
     code = (
         "import json, sys; from barblocks.cli import main; code = main(sys.argv[1:]); "
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('barblocks.'))]))"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('barblocks.')), "
+        "sorted({'dataclasses', 'inspect'} & set(sys.modules))]))"
     )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
-    exit_code, modules = json.loads(done.stdout.splitlines()[-1])
+    exit_code, modules, heavy = json.loads(done.stdout.splitlines()[-1])
     assert exit_code == 0, done.stderr
     assert {m.removeprefix("barblocks.") for m in modules} == MODULE_BUDGETS[argv]
+    assert heavy == []
 
 
 def test_verify_text_report_shows_ten_witnesses_then_a_count(capsys):

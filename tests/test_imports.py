@@ -1,4 +1,5 @@
-"""Every name a module of src/barblocks imports is used in that module."""
+"""Every name a module of src/barblocks imports is used in that module, and
+no module imports dataclasses or typing."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,29 @@ def test_every_imported_name_is_used(path):
 def test_an_import_left_behind_is_found():
     tree = ast.parse("from typing import Callable, Iterable\nimport os.path\n\nx: Iterable = ()\n")
     assert _unused_imports(tree) == ["Callable (line 1)", "os (line 2)"]
+
+
+# dataclasses loads inspect, ast, dis and tokenize; typing alone takes about
+# 4 ms to import in an interpreter started with -S.  Records derive from
+# partitions._Record and the abstract types come from collections.abc.
+HEAVY = {"dataclasses", "typing"}
+
+
+def _heavy_imports(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] in HEAVY]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] in HEAVY:
+            found.append(node.module)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_imports_dataclasses_or_typing(path):
+    assert _heavy_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_a_heavy_import_is_found():
+    tree = ast.parse("import dataclasses\nfrom typing import Iterable\nfrom collections.abc import Sequence\n")
+    assert _heavy_imports(tree) == ["dataclasses", "typing"]

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import json
 from itertools import zip_longest
@@ -280,21 +279,21 @@ def test_json_record():
 
 
 def test_records_of_both_kinds_have_one_field_list_but_never_compare_equal():
-    fields = ["core", "quotient", "charvec", "weight", "cocore", "d"]
+    fields = ("core", "quotient", "charvec", "weight", "cocore", "d")
     bar = bar_decompose(BarPartition([2, 1]), 3)
-    assert [f.name for f in dataclasses.fields(bar)] == fields
-    assert [f.name for f in dataclasses.fields(ordinary_decompose(Partition([2, 1]), 3))] == fields
+    assert bar._fields == fields
+    assert ordinary_decompose(Partition([2, 1]), 3)._fields == fields
     values = [getattr(bar, name) for name in fields]
     assert BarLittlewood(*values) == bar != OrdinaryLittlewood(*values)
-    assert type(dataclasses.replace(bar, d=1)) is BarLittlewood
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert type(bar._replace(d=1)) is BarLittlewood
+    with pytest.raises(AttributeError, match="cannot assign to field 'd'"):
         bar.d = 1
 
 
 @pytest.mark.parametrize("decompose", [bar_decompose, ordinary_decompose])
 def test_records_of_both_kinds_refuse_a_new_attribute(decompose):
     record = decompose([2, 1], 3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
         record.extra = 1
     assert not hasattr(record, "extra")
 
