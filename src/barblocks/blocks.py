@@ -88,15 +88,15 @@ from .littlewood import (
     ordinary_reconstruct,
     paired_parts,
 )
-from .partitions import BarPartition, Partition, _as, _partitions_of, _Record, enumerate_partitions
+from .partitions import BarPartition, Partition, _as, _Record, enumerate_partitions
 
 
 def strict_partitions_of(n: int) -> tuple[BarPartition, ...]:
-    return _partitions_of(n, "strict")
+    return tuple(enumerate_partitions(n, "strict"))
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    return _partitions_of(n, "all")
+    return tuple(enumerate_partitions(n, "all"))
 
 
 def bar_cores(p: int, max_size: int) -> tuple[BarPartition, ...]:

@@ -119,7 +119,7 @@ def nu_p_factorial(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _valuation(parts: tuple[int, ...], p: int, spin: bool) -> int:
     """nu_p of n! over the product of the bar hook lengths (spin) or of the
     hook lengths (non-spin) of the partition with these parts."""

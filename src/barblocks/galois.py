@@ -64,6 +64,7 @@ _PRIME_CHECK_LIMIT = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@lru_cache(maxsize=None)
 def _is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
@@ -191,7 +192,7 @@ def _diff_exponents(n: int, k: int) -> tuple[int, int]:
     return two_exp, (n - k + two_exp) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _tau_partition_cached(parts: tuple[int, ...], f: GaloisElement) -> int:
     return _tau_product(*_diff_exponents(sum(parts), len(parts)), parts, f)
 

@@ -106,7 +106,7 @@ def cocores(w: int, p: int) -> tuple[BarPartition, ...]:
 
 
 def block_members(block: GBlockId) -> tuple[GCharLabel, ...]:
-    nus = reversed(cocores(block.w, block.p))  # ascending, the order of GCharLabel.sort_key
+    nus = _members(_BAR, (), block.p, block.w)  # ascending, the order of GCharLabel.sort_key
     return tuple(label for nu in nus for label in classify_g(block.kappa, nu, block.group))
 
 

@@ -27,11 +27,16 @@ counted for d are those whose beads pair up on a cocore: all runners for bar,
 one of each pair {j, p-1-j} for ordinary.
 
 Blocks run the engine backwards.  ``_members`` lists the labels with a given
-core and weight by reconstructing every quotient of that weight, each
-component placed on a runner of a given charnum once (``_placed``), and
-``_cores`` lists the cores of both kinds, t-bar cores and self-conjugate
-p-cores, as the cores of the characteristic vectors within a size budget.
-The moduli are odd integers >= 3, not only primes: the engine needs no more.
+core and weight by reconstructing every quotient of that weight, from one
+list of the partitions of each size, each component placed on a runner of a
+given charnum once (``_placed``), and ``_cores`` lists the cores of both
+kinds, t-bar cores and self-conjugate p-cores, as the cores of the
+characteristic vectors within a size budget.  The moduli are odd integers
+>= 3, not only primes: the engine needs no more.
+
+The memos keyed by shared structure (runner, core, placed component, block)
+are unbounded; ``_decompose``, keyed by a label, is a bounded LRU, so a
+sweep holds the labels of the work in hand, not every label it saw.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from functools import lru_cache
 from operator import index
 
 from .partitions import (
-    BarPartition, Partition, _as, _frobenius, _from_frobenius, _partitions_of, _Record, _shift,
+    BarPartition, Partition, _as, _frobenius, _from_frobenius, _gen, _Record, _shift,
 )
 
 
@@ -180,7 +185,7 @@ def _placed(parts: tuple[int, ...], c: int) -> tuple:
     return _shift(*_frobenius(parts), c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _decompose(layout: _Layout, parts: tuple[int, ...], m: int):
     runner0, runners = _runners(layout, parts, m)
     charvec, pointed, quotient, d = zip(*map(_normalized, runners))
@@ -237,12 +242,10 @@ def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
     charvec = _decompose(layout, core, m).charvec
     # columns[k][s]: the values component k can take at size s, as runner-0
     # slots for the head and as shifted runners for the fenced runners
-    columns = [
-        [[_placed(q.parts, c) for q in _partitions_of(s, "all")] for s in range(w + 1)]
-        for c in charvec
-    ]
+    shapes = [list(_gen(s, s, 0, 1)) for s in range(w + 1)]  # the partitions of size s
+    columns = [[[_placed(parts, c) for parts in shape] for shape in shapes] for c in charvec]
     if layout.head:
-        columns.insert(0, [[q.parts for q in _partitions_of(s, "strict")] for s in range(w + 1)])
+        columns.insert(0, [list(_gen(s, s, 1, 1)) for s in range(w + 1)])
     # choices[k][left]: the (left after, value) pairs open to component k;
     # the last component takes exactly the weight that is left
     choices = [

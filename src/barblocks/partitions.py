@@ -15,7 +15,6 @@ copy, pickle and ``_replace`` go through the constructor, which checks again.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from operator import attrgetter, index
 
 
@@ -300,12 +299,6 @@ def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
         raise ValueError(f"unknown kind {kind!r}")
     gap, step, label = _KINDS[kind]
     return map(label, _gen(n, n, gap, step))
-
-
-@lru_cache(maxsize=None)
-def _partitions_of(n: int, kind: str) -> tuple[Partition, ...]:
-    """The partitions of enumerate_partitions(n, kind), memoized as a tuple."""
-    return tuple(enumerate_partitions(n, kind))
 
 
 def parse_partition(text: str, strict: bool = False) -> Partition:

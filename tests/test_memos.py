@@ -1,0 +1,115 @@
+"""Every memo of src/barblocks has one declared grain and bound, and the
+bounds keep a sweep's memory in proportion to the work in hand.
+
+A memo keyed by shared structure (a runner, core, placed component, block,
+prime or oracle field) is unbounded; a memo keyed by a label is bounded by a
+constant.  A new memo, or a changed bound, edits MEMOS.
+"""
+
+import ast
+import importlib
+import tracemalloc
+from pathlib import Path
+
+from barblocks.blocks import verify
+from barblocks.galois import _is_odd_prime, standard_generators
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "barblocks").glob("*.py"))
+MODULES = [path.stem for path in SOURCES if path.stem != "__init__"]
+
+# module.function -> (maxsize, grain: what one entry is keyed by)
+MEMOS = {
+    "blocks.spin_block_members": (None, "per spin block"),
+    "blocks.nonspin_block_members": (None, "per non-spin block"),
+    "characters._valuation": (4096, "per label: parts, p and spin or not"),
+    "galois._is_odd_prime": (None, "per prime"),
+    "galois.standard_generators": (None, "per prime"),
+    "galois._tau_partition_cached": (8192, "per label and automorphism"),
+    "galois._zeta8_sign": (None, "per oracle field and exponent: i or sqrt(2), and c mod 8"),
+    "galois._gauss_sign": (None, "per oracle field and exponent: q and c mod q"),
+    "littlewood._normalized": (None, "per runner"),
+    "littlewood._core": (None, "per core: layout, characteristic vector and modulus"),
+    "littlewood._placed": (None, "per placed component: parts and charnum"),
+    "littlewood._decompose": (4096, "per label: layout, parts and modulus"),
+    "littlewood._members": (None, "per block: layout, core, modulus and weight"),
+}
+
+
+def _memos(trees: dict[str, ast.Module]) -> dict[str, object]:
+    """module.function -> maxsize of each function decorated with
+    functools.lru_cache or functools.cache, read from the source."""
+    found = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                func = call.func if call else decorator
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name not in ("lru_cache", "cache"):
+                    continue
+                maxsize = None if name == "cache" else 128
+                if call and call.args:
+                    maxsize = ast.literal_eval(call.args[0])
+                for keyword in call.keywords if call else ():
+                    if keyword.arg == "maxsize":
+                        maxsize = ast.literal_eval(keyword.value)
+                found[f"{module}.{node.name}"] = maxsize
+    return found
+
+
+def _clear_every_memo():
+    for module in MODULES:
+        for obj in vars(importlib.import_module(f"barblocks.{module}")).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_every_memo_is_declared_with_its_bound():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert _memos(trees) == {name: maxsize for name, (maxsize, _) in MEMOS.items()}
+    for name, (maxsize, grain) in MEMOS.items():
+        module, function = name.split(".")
+        memo = getattr(importlib.import_module(f"barblocks.{module}"), function)
+        assert memo.cache_info().maxsize == maxsize, name
+        assert grain.startswith("per "), name
+
+
+def test_the_memo_reader_finds_every_form():
+    tree = ast.parse(
+        "@lru_cache(maxsize=None)\ndef a(): pass\n\n"
+        "@functools.lru_cache(64)\ndef b(): pass\n\n"
+        "@lru_cache\ndef c(): pass\n\n"
+        "class K:\n    @cache\n    def d(self): pass\n"
+    )
+    assert _memos({"m": tree}) == {"m.a": None, "m.b": 64, "m.c": 128, "m.d": None}
+
+
+def _peak_mib(bound: int) -> float:
+    _clear_every_memo()
+    tracemalloc.start()
+    try:
+        report = verify("roundtrips", 3, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    return peak / 2**20
+
+
+def test_sweep_memory_grows_slower_than_the_cases():
+    """From bound 30 to 45 the cases grow from 2,035 to 16,857, but the
+    per-label memos are bounded, so the peak grows by at most 4x (the
+    per-runner memos still grow: at p = 3 each label has one fenced runner)."""
+    small, large = _peak_mib(30), _peak_mib(45)
+    assert large <= 4 * small, (small, large)
+
+
+def test_the_prime_is_checked_once_per_sweep():
+    """tau_oracle builds 3(p-1) automorphisms at p; the primality of p is
+    decided once for all of them."""
+    _is_odd_prime.cache_clear()
+    standard_generators.cache_clear()
+    assert verify("tau_oracle", 10007, 1).passed
+    assert _is_odd_prime.cache_info().misses == 1
