@@ -160,9 +160,6 @@ class BarAbacus(_Record):
         )
         return TwistedBarAbacus(self.t, self.runners[0], shifted)
 
-    def to_json(self) -> dict:
-        return {"t": self.t, "runners": [sorted(r) for r in self.runners]}
-
 
 class TwistedBarAbacus(_Record):
     """Folded form: runner 0 plus one fenced runner per residue pair (r, t-r)."""
@@ -192,13 +189,6 @@ class TwistedBarAbacus(_Record):
 
     def to_partition(self) -> BarPartition:
         return self.untwist().to_partition()
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "runner0": sorted(self.runner0),
-            "shifted": [fr.to_json() for fr in self.shifted],
-        }
 
 
 def _render_plain(a: BarAbacus) -> str:

@@ -277,16 +277,6 @@ class VerificationReport(_Record):
     def passed(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "p": self.p,
-            "bound": self.bound,
-            "cases": self.cases,
-            "violations": list(self.violations),
-            "notes": list(self.notes),
-        }
-
 
 def _tau_of(label, f: GaloisElement) -> int:
     if isinstance(label, GCharLabel):
@@ -676,10 +666,11 @@ def verify(suite: str, p: int, bound: int, w_max: int = 3) -> VerificationReport
     """Run a named exhaustive suite up to the given size bound.
 
     The arguments are checked here, before any work: p must be an odd
-    prime, bound and w_max at least 1, and the tau_oracle bound at most
-    ORACLE_MAX_M."""
+    prime, bound and w_max integers of at least 1, and the tau_oracle bound
+    at most ORACLE_MAX_M."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    bound, w_max = operator.index(bound), operator.index(w_max)
     if bound < 1:
         raise ValueError("bound must be at least 1")
     GaloisElement(p)  # raises "p must be an odd prime, got ..." for any other p

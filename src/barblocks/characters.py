@@ -55,14 +55,6 @@ class CharLabel(_Record):
     def sort_key(self):
         return (self.partition.parts, _VARIANTS.index(self.variant))
 
-    def to_json(self) -> dict:
-        return {
-            "partition": self.partition.to_json(),
-            "group": self.group,
-            "flavor": self.flavor,
-            "variant": self.variant,
-        }
-
 
 def classify(partition: Partition, group: str, flavor: str = SPIN) -> tuple[CharLabel, ...]:
     """Labels carried by a partition: one self-associate label, or an

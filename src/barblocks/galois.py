@@ -42,6 +42,7 @@ ORACLE_MAX_M = 10**6
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n, via binary reciprocity."""
+    a, n = index(a), index(n)
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"n must be a positive odd integer, got {n}")
     a %= n
@@ -130,9 +131,6 @@ class GaloisElement(_Record):
             raise ValueError("cannot compose automorphisms at different primes")
         return GaloisElement(self.p, self.e + other.e, (self.s * other.s) % self.p)
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "e": self.e, "s": self.s}
-
 
 @lru_cache(maxsize=None)
 def standard_generators(p: int) -> tuple[GaloisElement, ...]:
@@ -160,6 +158,7 @@ def tau_sqrt(m: int, f: GaloisElement) -> int:
     (s/p) * tau_i(f)**[p = 3 mod 4], the factor by which f scales the
     quadratic Gauss sum at p.
     """
+    m = index(m)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     p = f.p
@@ -204,7 +203,9 @@ def tau_partition(lam: BarPartition, f: GaloisElement) -> int:
 
 
 def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
-    """The diagonal hooks 2a+1 of a self-conjugate partition; they sum to its size."""
+    """The diagonal hooks 2a+1 of a self-conjugate partition; they sum to its
+    size.  They are distinct and odd, so they read as a strict partition whose
+    difference exponents are (0, (size - length)/2)."""
     lam = _as(Partition, lam)
     arms, legs = _frobenius(lam.parts)
     if arms != legs:
@@ -213,8 +214,7 @@ def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
 
 
 def tau_selfconjugate(lam: Partition, f: GaloisElement) -> int:
-    hooks = _selfconjugate_hooks(lam)
-    return _tau_product(0, (sum(hooks) - len(hooks)) // 2, hooks, f)
+    return _tau_partition_cached(_selfconjugate_hooks(lam), f)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +245,7 @@ def _factorize(n: int) -> dict[int, int]:
 
 def squarefree_part(n: int) -> int:
     """Product of the primes dividing n to an odd power."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be positive")
     return squarefree_of_product((n,))
@@ -269,6 +270,7 @@ class SurdValue(_Record):
     __slots__ = ("two_exp", "i_exp", "radicand")
 
     def __init__(self, two_exp: int, i_exp: int, radicand: int):
+        two_exp, i_exp = index(two_exp), index(i_exp)  # squarefree_part reads the radicand
         if two_exp not in (0, 1):
             raise ValueError("two_exp must be 0 or 1")
         if radicand < 1:
@@ -291,8 +293,7 @@ def diff_value(lam: BarPartition) -> SurdValue:
 def selfconjugate_diff_value(lam: Partition) -> SurdValue:
     """Difference-character value for a self-conjugate partition: the part
     lengths are replaced by the diagonal hook lengths."""
-    hooks = _selfconjugate_hooks(lam)
-    return SurdValue(0, (sum(hooks) - len(hooks)) // 2, squarefree_of_product(hooks))
+    return diff_value(_selfconjugate_hooks(lam))
 
 
 def _legendre_euler(a: int, q: int) -> int:
@@ -371,6 +372,7 @@ def oracle_tau_sqrt(m: int, f: GaloisElement) -> int:
     zeta_8-combinations and Gauss sums; f acts exponent-wise on each factor
     and each factor's sign is read off by exact comparison.
     """
+    m = index(m)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if m > ORACLE_MAX_M:

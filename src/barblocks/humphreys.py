@@ -50,14 +50,6 @@ class GCharLabel(_Record):
     def sort_key(self):
         return (self.mu.parts, self.nu.parts, _VARIANTS.index(self.variant))
 
-    def to_json(self) -> dict:
-        return {
-            "mu": self.mu.to_json(),
-            "nu": self.nu.to_json(),
-            "group": self.group,
-            "variant": self.variant,
-        }
-
 
 class GBlockId(_Record):
     __slots__ = ("kappa", "w", "group", "p")
@@ -100,6 +92,7 @@ def tau_g(label: GCharLabel, f: GaloisElement) -> int:
 def cocores(w: int, p: int) -> tuple[BarPartition, ...]:
     """Strict partitions of p*w with empty p-bar core, descending order: the
     reconstructions over the empty core of every bar quotient of weight w."""
+    w = index(w)
     if w < 0:
         raise ValueError("w must be non-negative")
     return _members(_BAR, *_checked(_BAR, (), p), w)[::-1]

@@ -34,9 +34,11 @@ kinds, t-bar cores and self-conjugate p-cores, as the cores of the
 characteristic vectors within a size budget.  The moduli are odd integers
 >= 3, not only primes: the engine needs no more.
 
-The memos keyed by shared structure (runner, core, placed component, block)
-are unbounded; ``_decompose``, keyed by a label, is a bounded LRU, so a
-sweep holds the labels of the work in hand, not every label it saw.
+The memos keyed by a core or a block are unbounded.  ``_decompose``, keyed
+by a label, is a bounded LRU, and so are ``_normalized`` and ``_placed``: at
+modulus 3 a label has one fenced runner, so a runner or a placed component
+can be as many as the labels.  A sweep then holds the work in hand, not
+every label it saw.
 """
 
 from __future__ import annotations
@@ -65,16 +67,6 @@ class _Decomposition(_Record):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "cocore", cocore)
         object.__setattr__(self, "d", d)
-
-    def to_json(self) -> dict:
-        return {
-            "core": self.core.to_json(),
-            "quotient": [q.to_json() for q in self.quotient],
-            "charvec": list(self.charvec),
-            "weight": self.weight,
-            "cocore": self.cocore.to_json(),
-            "d": self.d,
-        }
 
 
 class BarLittlewood(_Decomposition):
@@ -161,7 +153,7 @@ def _label_parts(layout: _Layout, runner0, runners, m: int) -> tuple[int, ...]:
     return layout.parts(runner0, above, below, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _normalized(runner: tuple) -> tuple:
     """(c, pointed runner, quotient component, d-count) of one runner: its
     charnum c, its shift by -c, the Frobenius reading of that shift, and how
@@ -179,7 +171,7 @@ def _core(layout: _Layout, charvec: tuple[int, ...], m: int):
     return layout.label(_label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _placed(parts: tuple[int, ...], c: int) -> tuple:
     """The runner of charnum c whose pointed runner reads as parts."""
     return _shift(*_frobenius(parts), c)

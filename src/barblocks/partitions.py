@@ -10,6 +10,7 @@ it enters.  Parts are read by ``operator.index``, which refuses a float.
 A record (``_Record``) lists its fields in ``__slots__``; its ``__init__``
 validates them and sets each once.  Records compare by class and fields, and
 copy, pickle and ``_replace`` go through the constructor, which checks again.
+A record's JSON is its fields by name, in order (``_json``).
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def _as(cls, value):
 class _Record:
     """Base of the immutable records.  The fields, two or more, are the
     ``__slots__`` of the class and its bases in order; ``_key(record)`` is
-    their tuple, which eq, hash and repr read."""
+    their tuple, which eq, hash, repr and to_json read.  A record whose JSON
+    keys are not its field names overrides to_json."""
 
     __slots__ = ()
 
@@ -186,6 +188,21 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._key(self)
+
+    def to_json(self) -> dict:
+        return {name: _json(value) for name, value in zip(self._fields, self._key(self))}
+
+
+def _json(value):
+    """A field's JSON: a partition or record by its own to_json, a tuple as a
+    list, a frozenset of slots sorted, an int, str or dict as it is."""
+    if isinstance(value, (Partition, _Record)):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(x) for x in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
 
 
 class FrobeniusSymbol(_Record):
@@ -293,6 +310,7 @@ def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
 
     kind is one of "all", "strict", "self_conjugate".
     """
+    n = index(n)
     if n < 0:
         raise ValueError("n must be non-negative")
     if kind not in _KINDS:

@@ -17,6 +17,7 @@ from barblocks.blocks import (
     nonspin_psi,
     psi,
     spin_block_members,
+    verify,
 )
 from barblocks.characters import (
     CharLabel,
@@ -27,12 +28,15 @@ from barblocks.characters import (
 )
 from barblocks.galois import (
     GaloisElement,
+    SurdValue,
     _apply_exponent,
     _canon8,
     _scaling_sign,
     diff_value,
+    jacobi,
     oracle_tau_sqrt,
     selfconjugate_diff_value,
+    squarefree_part,
     standard_generators,
     tau_partition,
     tau_selfconjugate,
@@ -49,7 +53,7 @@ from barblocks.littlewood import (
     paired_parts,
     selfconjugate_paired_hooks,
 )
-from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition
+from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition, enumerate_partitions
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "barblocks").glob("*.py"))
 
@@ -264,8 +268,9 @@ def test_a_class_test_left_behind_is_found():
     assert sorted(_class_tests(tree)) == [1, 3]
 
 
-# a part, a Frobenius coordinate, a slot, t or m, a Galois exponent or a block
-# weight that is not an integer is refused, not truncated
+# a part, a Frobenius coordinate, a slot, t or m, a Galois exponent, a Jacobi
+# or surd argument, a size bound or a weight that is not an integer is refused,
+# not truncated
 NON_INTEGERS = {
     "partition-part": lambda: Partition([2.7, 1]),
     "partition-text-part": lambda: Partition(["3"]),
@@ -280,6 +285,18 @@ NON_INTEGERS = {
     "spin-block-weight": lambda: SpinBlockId([], 1.5, "stilde", 3),
     "nonspin-block-weight": lambda: NonSpinBlockId([], 1.5, 3),
     "g-block-weight": lambda: GBlockId([], 1.5, "g", 3),
+    "jacobi-a": lambda: jacobi(2.5, 7),
+    "jacobi-n": lambda: jacobi(2, 3.0),
+    "tau-sqrt-m": lambda: tau_sqrt(1.5, SIGMA3),
+    "oracle-tau-sqrt-m": lambda: oracle_tau_sqrt(6.0, SIGMA3),
+    "surd-two-exp": lambda: SurdValue(1.0, 1, 6),
+    "surd-i-exp": lambda: SurdValue(0, 1.5, 6),
+    "surd-radicand": lambda: SurdValue(0, 1, 6.0),
+    "squarefree-part": lambda: squarefree_part(6.0),
+    "verify-bound": lambda: verify("roundtrips", 3, 5.0),
+    "verify-w-max": lambda: verify("roundtrips", 3, 5, w_max=2.5),
+    "enumerate-partitions": lambda: enumerate_partitions(2.5),
+    "cocores-weight": lambda: cocores(1.5, 3),
 }
 
 

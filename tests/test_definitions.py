@@ -1,5 +1,6 @@
 """Every module-level definition of src/barblocks has a reader: code in
-src/barblocks reads it, or it is public, a dunder, or allowed below."""
+src/barblocks reads it, or it is public, a dunder, or allowed below.  And
+one method writes the JSON of every record."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,21 @@ def test_a_definition_left_behind_is_found():
     }
     unread = ["a.unused (line 6)", "a.recursive (line 9)"]
     assert _unread(trees, public=("Public", "VALUE")) == unread
+
+
+def _json_writers(trees: dict[str, ast.Module]) -> list[str]:
+    """module.Class of each class whose body defines to_json."""
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(name == "to_json" for name, _ in _definitions(node))
+    )
+
+
+def test_only_the_record_base_and_one_override_write_json():
+    """A record's JSON is its fields in order (_Record.to_json), which reads a
+    partition's; FencedRunner alone names its JSON keys apart from its fields."""
+    expected = ["abacus.FencedRunner", "partitions.Partition", "partitions._Record"]
+    assert _json_writers(_source_trees()) == expected

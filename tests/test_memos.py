@@ -1,9 +1,11 @@
 """Every memo of src/barblocks has one declared grain and bound, and the
 bounds keep a sweep's memory in proportion to the work in hand.
 
-A memo keyed by shared structure (a runner, core, placed component, block,
-prime or oracle field) is unbounded; a memo keyed by a label is bounded by a
-constant.  A new memo, or a changed bound, edits MEMOS.
+A memo is bounded by a constant when its entries can grow with the labels a
+sweep visits: a memo keyed by a label, and, because at p = 3 each label has
+one fenced runner, one keyed by a runner or a placed component.  A memo keyed
+by other shared structure (a core, block, prime or oracle field) is
+unbounded.  A new memo, or a changed bound, edits MEMOS.
 """
 
 import ast
@@ -24,12 +26,16 @@ MEMOS = {
     "characters._valuation": (4096, "per label: parts, p and spin or not"),
     "galois._is_odd_prime": (None, "per prime"),
     "galois.standard_generators": (None, "per prime"),
-    "galois._tau_partition_cached": (8192, "per label and automorphism"),
+    "galois._tau_partition_cached": (
+        8192,
+        "per strict part tuple (a spin label, or a self-conjugate label's diagonal hooks) "
+        "and automorphism",
+    ),
     "galois._zeta8_sign": (None, "per oracle field and exponent: i or sqrt(2), and c mod 8"),
     "galois._gauss_sign": (None, "per oracle field and exponent: q and c mod q"),
-    "littlewood._normalized": (None, "per runner"),
+    "littlewood._normalized": (4096, "per runner"),
     "littlewood._core": (None, "per core: layout, characteristic vector and modulus"),
-    "littlewood._placed": (None, "per placed component: parts and charnum"),
+    "littlewood._placed": (4096, "per placed component: parts and charnum"),
     "littlewood._decompose": (4096, "per label: layout, parts and modulus"),
     "littlewood._members": (None, "per block: layout, core, modulus and weight"),
 }
@@ -101,7 +107,8 @@ def _peak_mib(bound: int) -> float:
 def test_sweep_memory_grows_slower_than_the_cases():
     """From bound 30 to 45 the cases grow from 2,035 to 16,857, but the
     per-label memos are bounded, so the peak grows by at most 4x (the
-    per-runner memos still grow: at p = 3 each label has one fenced runner)."""
+    per-runner memos, bounded at 4,096, hold 2,763 entries at 45 and fill
+    only above it)."""
     small, large = _peak_mib(30), _peak_mib(45)
     assert large <= 4 * small, (small, large)
 

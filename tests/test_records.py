@@ -1,10 +1,13 @@
 """The record contract: every record class of the package is immutable,
 equal by class and fields, hashable, printable as Name(field=value, ...),
-copyable and picklable through its constructor, and keeps its constructor
-signature.  Reprs and signatures are pinned from the @dataclass versions."""
+copyable and picklable through its constructor, keeps its constructor
+signature, and writes its JSON.  Reprs and signatures are pinned from the
+@dataclass versions; the JSON of the records that wrote their own is pinned
+from those methods."""
 
 import copy
 import inspect
+import json
 import pickle
 
 import pytest
@@ -23,81 +26,101 @@ def _block():
 
 
 _SPIN_BLOCK = "SpinBlockId(kappa=BarPartition([1]), w=1, group='stilde', p=3)"
+_SPIN_BLOCK_JSON = '{"kappa": [1], "w": 1, "group": "stilde", "p": 3}'
 _DECOMPOSITION = (
     "(core: 'Partition', quotient: 'tuple[Partition, ...]', charvec: 'tuple[int, ...]', "
     "weight: 'int', cocore: 'Partition', d: 'int')"
 )
 
-# class name -> (a factory of one instance, its repr, the class's signature)
+# class name -> (a factory of one instance, its repr, the class's signature,
+# json.dumps of its to_json)
 RECORDS = {
     "FrobeniusSymbol": (
         lambda: FrobeniusSymbol((1, 0), (2, 0)),
         "FrobeniusSymbol(legs=(1, 0), arms=(2, 0))",
         "(legs: 'tuple[int, ...]', arms: 'tuple[int, ...]')",
+        '{"legs": [1, 0], "arms": [2, 0]}',
     ),
     "FencedRunner": (
         lambda: FencedRunner({2, 0}, {1}),
         "FencedRunner(black_above=frozenset({0, 2}), white_below=frozenset({1}))",
         "(black_above: 'frozenset' = frozenset(), white_below: 'frozenset' = frozenset())",
+        '{"above": [0, 2], "below": [1]}',
     ),
     "BarAbacus": (
         lambda: BarAbacus.from_partition([5, 3, 1], 3),
         "BarAbacus(t=3, runners=(frozenset({1}), frozenset({0}), frozenset({1})))",
         "(t: 'int', runners: 'tuple[frozenset, ...]')",
+        '{"t": 3, "runners": [[1], [0], [1]]}',
     ),
     "TwistedBarAbacus": (
         lambda: BarAbacus.from_partition([5, 3, 1], 3).twist(),
         "TwistedBarAbacus(t=3, runner0=frozenset({1}), "
         "shifted=(FencedRunner(black_above=frozenset({0}), white_below=frozenset({1})),))",
         "(t: 'int', runner0: 'frozenset', shifted: 'tuple[FencedRunner, ...]')",
+        '{"t": 3, "runner0": [1], "shifted": [{"above": [0], "below": [1]}]}',
     ),
     "BarLittlewood": (
         lambda: bar_decompose([5, 3, 1], 3),
         "BarLittlewood(core=BarPartition([]), quotient=(BarPartition([1]), Partition([1, 1])), "
         "charvec=(0,), weight=3, cocore=BarPartition([5, 3, 1]), d=0)",
         _DECOMPOSITION,
+        '{"core": [], "quotient": [[1], [1, 1]], "charvec": [0], "weight": 3, "cocore": [5, 3, 1], '
+        '"d": 0}',
     ),
     "OrdinaryLittlewood": (
         lambda: ordinary_decompose([3, 1], 3),
         "OrdinaryLittlewood(core=Partition([3, 1]), quotient=(Partition([]), Partition([]), "
         "Partition([])), charvec=(0, -1, 1), weight=0, cocore=Partition([]), d=0)",
         _DECOMPOSITION,
+        '{"core": [3, 1], "quotient": [[], [], []], "charvec": [0, -1, 1], "weight": 0, '
+        '"cocore": [], "d": 0}',
     ),
     "CharLabel": (
         lambda: CharLabel([2, 1], "stilde", "spin", "plus"),
         "CharLabel(partition=BarPartition([2, 1]), group='stilde', flavor='spin', variant='plus')",
         "(partition: 'Partition', group: 'str', flavor: 'str', variant: 'str')",
+        '{"partition": [2, 1], "group": "stilde", "flavor": "spin", "variant": "plus"}',
     ),
     "GaloisElement": (
         lambda: GaloisElement(5, 2, 3),
         "GaloisElement(p=5, e=2, s=3)",
         "(p: 'int', e: 'int' = 1, s: 'int' = 1)",
+        '{"p": 5, "e": 2, "s": 3}',
     ),
     "SurdValue": (
         lambda: SurdValue(1, 5, 12),
         "SurdValue(two_exp=1, i_exp=1, radicand=3)",
         "(two_exp: 'int', i_exp: 'int', radicand: 'int')",
+        '{"two_exp": 1, "i_exp": 1, "radicand": 3}',
     ),
     "GCharLabel": (
         lambda: GCharLabel([1], [3], "g", "whole"),
         "GCharLabel(mu=BarPartition([1]), nu=BarPartition([3]), group='g', variant='whole')",
         "(mu: 'BarPartition', nu: 'BarPartition', group: 'str', variant: 'str')",
+        '{"mu": [1], "nu": [3], "group": "g", "variant": "whole"}',
     ),
     "GBlockId": (
         lambda: GBlockId([1], 1, "g", 3),
         "GBlockId(kappa=BarPartition([1]), w=1, group='g', p=3)",
         "(kappa: 'BarPartition', w: 'int', group: 'str', p: 'int')",
+        '{"kappa": [1], "w": 1, "group": "g", "p": 3}',
     ),
-    "SpinBlockId": (_block, _SPIN_BLOCK, "(kappa: 'BarPartition', w: 'int', group: 'str', p: 'int')"),
+    "SpinBlockId": (
+        _block, _SPIN_BLOCK, "(kappa: 'BarPartition', w: 'int', group: 'str', p: 'int')",
+        _SPIN_BLOCK_JSON,
+    ),
     "NonSpinBlockId": (
         lambda: NonSpinBlockId([], 1, 3),
         "NonSpinBlockId(kappa=Partition([]), w=1, p=3)",
         "(kappa: 'Partition', w: 'int', p: 'int')",
+        '{"kappa": [], "w": 1, "p": 3}',
     ),
     "LabelMap": (
         lambda: LabelMap(_block(), _block(), ()),
         f"LabelMap(source={_SPIN_BLOCK}, target={_SPIN_BLOCK}, pairs=())",
         "(source: 'object', target: 'object', pairs: 'tuple[tuple[object, object], ...]')",
+        f'{{"source": {_SPIN_BLOCK_JSON}, "target": {_SPIN_BLOCK_JSON}, "pairs": []}}',
     ),
     "VerificationReport": (
         lambda: VerificationReport("roundtrips", 3, 4, 7, ({"lambda": [1]},), ("note",)),
@@ -105,6 +128,8 @@ RECORDS = {
         "violations=({'lambda': [1]},), notes=('note',))",
         "(suite: 'str', p: 'int', bound: 'int', cases: 'int', violations: 'tuple[dict, ...]', "
         "notes: 'tuple[str, ...]' = ())",
+        '{"suite": "roundtrips", "p": 3, "bound": 4, "cases": 7, "violations": [{"lambda": [1]}], '
+        '"notes": ["note"]}',
     ),
 }
 # the engine's layouts are named tuples, read by field name
@@ -135,7 +160,7 @@ def _refused(record, verb, field):
 
 @pytest.mark.parametrize("name", [*RECORDS, "_Layout"])
 def test_record_contract(name):
-    make, text, signature = RECORDS.get(name, LAYOUT)
+    make, text, signature = RECORDS.get(name, LAYOUT)[:3]
     record = make()
     cls = type(record)
     assert cls.__name__ == name
@@ -171,6 +196,12 @@ def test_records_of_different_classes_never_compare_equal(name):
     assert twin != record and record != twin and not record == twin
     assert record.__eq__(twin) is NotImplemented
     assert record != values
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_records_json_is_its_fields_in_order(name):
+    make, _, _, expected = RECORDS[name]
+    assert json.dumps(make().to_json()) == expected
 
 
 _DEC = bar_decompose([5, 3, 1], 3)
@@ -221,7 +252,7 @@ _COPIES = {
 _VALUES = {
     "Partition": lambda: Partition([2, 1]),
     "BarPartition": lambda: BarPartition([2, 1]),
-    **{name: make for name, (make, _, _) in RECORDS.items()},
+    **{name: make for name, (make, *_) in RECORDS.items()},
 }
 
 
