@@ -30,7 +30,8 @@ defect and every height.
 only what every element shares or the notes.  Every domain is walked in a
 fixed order and every witness is a dict whose keys and key order are part of
 the report, so reports are byte-stable.  Witnesses are built only when a check
-fails.
+fails.  A check over automorphisms evaluates tau once per sign class
+(galois._sign_classes) and then reports every f of its class, in order.
 
 Library functions are looked up by their module-global names when they are
 called, never stored in the table at import time.  A wrapper that rebinds such
@@ -58,6 +59,7 @@ from .characters import (
 from .galois import (
     ORACLE_MAX_M,
     GaloisElement,
+    _sign_classes,
     oracle_tau_sqrt,
     standard_generators,
     tau_partition,
@@ -297,6 +299,7 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
         raise ValueError(f"automorphisms of different primes: {sorted({f.p for f in fs})}")
     if getattr(lmap.source, "p", p) != p:
         raise ValueError(f"automorphisms of p={p} on a block of p={lmap.source.p}")
+    reps, classes = _sign_classes(fs)
     violations = []
     cases = 0
     for src, dst in lmap.pairs:
@@ -310,9 +313,10 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
             continue
         if src.variant != "plus":
             continue  # the minus member carries the same tau
-        for f in fs:
-            cases += 1
-            ts, td = _tau_of(src, f), _tau_of(dst, f)
+        cases += len(fs)
+        signs = [(_tau_of(src, f), _tau_of(dst, f)) for f in reps]
+        for f, k in zip(fs, classes):
+            ts, td = signs[k]
             if ts != td:
                 violations.append(
                     {
@@ -445,6 +449,7 @@ def _suite_tau_oracle(p, bound, w_max):
 def _suite_little(p, bound, w_max):
     sigma = GaloisElement.sigma(p)
     trivial = [f for f in standard_generators(p) if f.e == 0]
+    reps, classes = _sign_classes(trivial)
     eps = -1 if p % 4 == 3 else 1
     counts = {"i": 0, "ii": 0, "iii": 0}
 
@@ -462,8 +467,12 @@ def _suite_little(p, bound, w_max):
         found = []
         if not ok:
             found.append(_witness(lam, case=case, tau=t_lam, tau_core=t_core, tau_cocore=t_cocore))
-        for f in trivial:
-            if tau_partition(lam, f) != tau_partition(dec.core, f) * tau_partition(dec.cocore, f):
+        fails = [
+            tau_partition(lam, f) != tau_partition(dec.core, f) * tau_partition(dec.cocore, f)
+            for f in reps
+        ]
+        for f, k in zip(trivial, classes):
+            if fails[k]:
                 found.append(_witness(lam, case="iii", f=f.to_json()))
         return 1 + len(trivial), found
 
@@ -473,6 +482,8 @@ def _suite_little(p, bound, w_max):
 
 
 def _phi(lam, p):
+    fs = standard_generators(p)
+    reps, classes = _sign_classes(fs)
     cases, found = 0, []
     for group in (STILDE, ATILDE):
         for label in classify(lam, group, SPIN):
@@ -483,10 +494,13 @@ def _phi(lam, p):
             if phi_inverse(glabel, p) != label:
                 found.append({"label": label.to_json(), "reason": "inverse"})
             if label.variant == "plus":
-                for f in standard_generators(p):
-                    cases += 1
-                    if label_tau(label, f) != tau_g(glabel, f):
-                        found.append({"label": label.to_json(), "f": f.to_json(), "reason": "tau"})
+                fails = [label_tau(label, f) != tau_g(glabel, f) for f in reps]
+                cases += len(fs)
+                found += [
+                    {"label": label.to_json(), "f": f.to_json(), "reason": "tau"}
+                    for f, k in zip(fs, classes)
+                    if fails[k]
+                ]
     return cases, found
 
 
@@ -506,12 +520,14 @@ def _valuation(lam, p):
 def _tau_nonspin(lam, p):
     dec = ordinary_decompose(lam, p)
     fs = standard_generators(p)
-    found = []
-    for f in fs:
-        lhs = tau_selfconjugate(lam, f)
-        rhs = tau_selfconjugate(dec.core, f) * tau_selfconjugate(dec.cocore, f)
-        if lhs != rhs:
-            found.append(_witness(lam, f=f.to_json(), tau=lhs, product=rhs))
+    reps, classes = _sign_classes(fs)
+    lhs = [tau_selfconjugate(lam, f) for f in reps]
+    rhs = [tau_selfconjugate(dec.core, f) * tau_selfconjugate(dec.cocore, f) for f in reps]
+    found = [
+        _witness(lam, f=f.to_json(), tau=lhs[k], product=rhs[k])
+        for f, k in zip(fs, classes)
+        if lhs[k] != rhs[k]
+    ]
     return len(fs), found
 
 

@@ -19,6 +19,12 @@ Two independent evaluation routes are provided:
 The oracle never consults the Jacobi-symbol formulas; agreement of the two
 routes is the keystone correctness check of this module.
 
+Each closed form depends on f only through its sign class (p, e mod 2, (s/p))
+(Gauss sums and reciprocity: Ireland and Rosen, ch. 6).  So the tau memo is
+keyed by the class, and ``_sign_classes`` lets a sweep evaluate tau once per
+class of its automorphisms.  ``tau_i``, ``tau_sqrt2``, ``tau_sqrt`` and the
+oracle still take each f as it is.
+
 An automorphism acts on Z[zeta_q] only through the exponent c it induces
 there (s mod q when q = p, p**e mod q otherwise), and on Z[zeta_8] through
 p**e mod 8.  So the oracle makes each exact comparison once per field and
@@ -175,15 +181,6 @@ def tau_sqrt(m: int, f: GaloisElement) -> int:
     return sign
 
 
-def _tau_product(two_exp: int, i_exp: int, radicands: Iterable[int], f: GaloisElement) -> int:
-    """Sign by which f scales sqrt(2)**two_exp * i**i_exp * sqrt(prod radicands);
-    tau_sqrt is multiplicative and blind to squares, so nothing is factorized."""
-    sign = (tau_sqrt2(f) ** two_exp) * (tau_i(f) ** i_exp)
-    for m in radicands:
-        sign *= tau_sqrt(m, f)
-    return sign
-
-
 def _diff_exponents(n: int, k: int) -> tuple[int, int]:
     """(two_exp, i_exp) of the difference value of a strict partition of n
     into k parts."""
@@ -191,15 +188,42 @@ def _diff_exponents(n: int, k: int) -> tuple[int, int]:
     return two_exp, (n - k + two_exp) // 2
 
 
+def _sign_class(f: GaloisElement) -> tuple[int, int, int]:
+    return f.p, f.e & 1, jacobi(f.s, f.p)
+
+
+def _sign_classes(fs: Iterable[GaloisElement]) -> tuple[list[GaloisElement], list[int]]:
+    """One automorphism of fs per sign class, in order of first appearance,
+    and for each f of fs the index of its class."""
+    reps, seen, classes = [], {}, []
+    for f in fs:
+        key = _sign_class(f)
+        if key not in seen:
+            seen[key] = len(reps)
+            reps.append(f)
+        classes.append(seen[key])
+    return reps, classes
+
+
 @lru_cache(maxsize=8192)
-def _tau_partition_cached(parts: tuple[int, ...], f: GaloisElement) -> int:
-    return _tau_product(*_diff_exponents(sum(parts), len(parts)), parts, f)
+def _tau_partition_cached(parts: tuple[int, ...], p: int, odd: int, chi: int) -> int:
+    """tau of the strict parts on the sign class (p, e & 1, (s/p)): the closed
+    forms multiply, so with p**a the p-part of their product and u the unit
+    2**two_exp * (-1)**(i_exp + a) * (p'-parts), tau is (u/p)**e * (s/p)**a."""
+    two_exp, i_exp = _diff_exponents(sum(parts), len(parts))
+    unit, a = 2**two_exp * (-1) ** i_exp, 0
+    for m in parts:
+        while m % p == 0:
+            m //= p
+            a += 1
+        unit = unit * m % p
+    return jacobi(unit * (-1) ** a, p) ** odd * chi**a
 
 
 def tau_partition(lam: BarPartition, f: GaloisElement) -> int:
     """Sign by which f permutes the associate pair labeled by a strict
     partition (+1 for the empty partition by convention)."""
-    return _tau_partition_cached(_as(BarPartition, lam).parts, f)
+    return _tau_partition_cached(_as(BarPartition, lam).parts, *_sign_class(f))
 
 
 def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
@@ -214,7 +238,7 @@ def _selfconjugate_hooks(lam: Partition) -> tuple[int, ...]:
 
 
 def tau_selfconjugate(lam: Partition, f: GaloisElement) -> int:
-    return _tau_partition_cached(_selfconjugate_hooks(lam), f)
+    return _tau_partition_cached(_selfconjugate_hooks(lam), *_sign_class(f))
 
 
 # ---------------------------------------------------------------------------

@@ -97,3 +97,25 @@ def bar_multipartition_count(t: int, a: int) -> int:
     return sum(
         count_odd_part_partitions(j) * multipartition_count(half, a - j) for j in range(a + 1)
     )
+
+
+def difference_exponents(n: int, k: int) -> tuple[int, int]:
+    """(two_exp, i_exp) of the difference character value of a strict
+    partition of n into k parts: sqrt(2) * i**((n-k+1)/2) * sqrt(prod parts)
+    when n - k is odd, i**((n-k)/2) * sqrt(prod parts) when it is even."""
+    if (n - k) % 2:
+        return 1, (n - k + 1) // 2
+    return 0, (n - k) // 2
+
+
+def diagonal_hooks(lam: Partition) -> list[int]:
+    """The hook lengths on the main diagonal of lam, read off the rows and
+    columns of its diagram."""
+    parts = list(lam.parts)
+    hooks = []
+    for i, row in enumerate(parts):
+        if row <= i:
+            break
+        column = sum(1 for part in parts if part > i)
+        hooks.append((row - i) + (column - i) - 1)
+    return hooks

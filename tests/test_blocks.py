@@ -181,6 +181,54 @@ def test_equivariance_check_refuses_automorphisms_of_another_prime():
     assert equivariance_check(lmap, standard_generators(3)).passed
 
 
+def _equivariance_per_f(lmap, fs):
+    """The report of equivariance_check as a loop over every automorphism of
+    fs in turn, tau evaluated at each: the reference that evaluating once per
+    sign class must reproduce."""
+    fs = tuple(fs)
+    cases, violations = 0, []
+    for src, dst in lmap.pairs:
+        if (src.variant == WHOLE) != (dst.variant == WHOLE):
+            violations.append(
+                {"label": src.to_json(), "image": dst.to_json(), "reason": "variant mismatch"}
+            )
+        elif src.variant == WHOLE:
+            cases += 1
+        elif src.variant == "plus":
+            for f in fs:
+                cases += 1
+                ts, td = blocks._tau_of(src, f), blocks._tau_of(dst, f)
+                if ts != td:
+                    violations.append(
+                        {
+                            "label": src.to_json(), "image": dst.to_json(), "f": f.to_json(),
+                            "tau_source": ts, "tau_image": td,
+                        }
+                    )
+    return VerificationReport("equivariance", fs[0].p, 0, cases, tuple(violations))
+
+
+@pytest.mark.parametrize("p, bound, w_max", [(7, 10, 2), (11, 12, 1)])
+def test_equivariance_by_sign_class_keeps_the_per_f_report(p, bound, w_max, monkeypatch):
+    """On the reversed crossings, which break equivariance at p = 3 mod 4,
+    equivariance_check gives the per-f loop's cases and violations, in the
+    order of fs also when fs mixes the classes, and so does crossing_fails."""
+    fs = [GaloisElement(p, e, s) for e in (3, 0, 2, 1) for s in reversed(range(1, p))]
+    checked = 0
+    pairs = blocks._core_pairs(bound, p, w_max, blocks._reversed_crossing, (STILDE,))
+    for k1, k2, w, group in pairs:
+        lmap = psi(SpinBlockId(k1, w, group, p), k2, allow_reversed=True)
+        report = equivariance_check(lmap, fs)
+        expected = _equivariance_per_f(lmap, fs)
+        assert (report.cases, report.violations) == (expected.cases, expected.violations)
+        checked += len(report.violations)
+    assert checked > 0
+    by_class = verify("crossing_fails", p, bound, w_max)
+    monkeypatch.setattr(blocks, "equivariance_check", _equivariance_per_f)
+    assert verify("crossing_fails", p, bound, w_max) == by_class
+    assert by_class.violations
+
+
 def test_nonspin_block_members():
     kappa = Partition([1])
     block = NonSpinBlockId(kappa, 1, 3)

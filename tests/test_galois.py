@@ -24,6 +24,8 @@ from barblocks.galois import (
 from barblocks.littlewood import bar_decompose, ordinary_decompose
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
 
+from oracles import diagonal_hooks, difference_exponents
+
 
 def legendre_by_squares(a, p):
     a %= p
@@ -219,23 +221,60 @@ def test_cores_fixed_by_p_trivial_automorphisms():
                     assert tau_partition(lam, GaloisElement.p_trivial(p, s)) == 1
 
 
+def _oracle_surd(size: int, radicands) -> SurdValue:
+    """The difference value of a strict tuple of radicands of the given size,
+    with its exponents from tests/oracles.py rather than from the library."""
+    return SurdValue(*difference_exponents(size, len(radicands)), squarefree_of_product(radicands))
+
+
+def _elements(primes, exponents):
+    return [GaloisElement(p, e, s) for p in primes for e in exponents for s in range(1, p)]
+
+
 def test_tau_partition_against_oracle():
-    for p in (3, 5):
-        for f in standard_generators(p):
-            for n in range(12):
-                for lam in enumerate_partitions(n, "strict"):
-                    assert tau_partition(lam, f) == oracle_tau_surd(diff_value(lam), f)
+    """Every strict partition of size <= 11 under every element with e <= 3
+    at p <= 13, so spin labels meet e = 2 and 3 too, which share their sign
+    classes with e = 0 and 1: 7,480 comparisons with the exact route."""
+    lams = [lam for n in range(12) for lam in enumerate_partitions(n, "strict")]
+    surds = {lam: _oracle_surd(lam.size, lam.parts) for lam in lams}
+    assert all(diff_value(lam) == surd for lam, surd in surds.items())
+    for f in _elements((3, 5, 7, 11, 13), range(4)):
+        for lam, surd in surds.items():
+            assert tau_partition(lam, f) == oracle_tau_surd(surd, f), (lam, f)
 
 
 def test_tau_selfconjugate_against_oracle():
     """Every self-conjugate partition of size <= 40 under every element with
     e <= 2: 50,592 comparisons with the exact route."""
     lams = [lam for n in range(41) for lam in enumerate_partitions(n, "self_conjugate")]
-    for p in (3, 5, 7, 11, 13):
-        for f in (GaloisElement(p, e, s) for e in (0, 1, 2) for s in range(1, p)):
-            for lam in lams:
-                exact = oracle_tau_surd(selfconjugate_diff_value(lam), f)
-                assert tau_selfconjugate(lam, f) == exact, (lam, f)
+    surds = {lam: _oracle_surd(lam.size, diagonal_hooks(lam)) for lam in lams}
+    assert all(selfconjugate_diff_value(lam) == surd for lam, surd in surds.items())
+    for f in _elements((3, 5, 7, 11, 13), range(3)):
+        for lam, surd in surds.items():
+            assert tau_selfconjugate(lam, f) == oracle_tau_surd(surd, f), (lam, f)
+
+
+def test_tau_partition_is_the_product_of_the_per_f_closed_forms():
+    """tau_partition, evaluated once per sign class (p, e & 1, (s/p)), is at
+    every f the product sqrt(2)**a * i**b * prod sqrt(m) of the closed forms
+    at that f: every strict partition of size <= 15, e <= 3 and every s at
+    p <= 17."""
+    lams = [lam for n in range(16) for lam in enumerate_partitions(n, "strict")]
+    for f in _elements((3, 5, 7, 11, 13, 17), range(4)):
+        for lam in lams:
+            a, b = difference_exponents(lam.size, lam.length)
+            product = tau_sqrt2(f) ** a * tau_i(f) ** b
+            for m in lam.parts:
+                product *= tau_sqrt(m, f)
+            assert tau_partition(lam, f) == product, (lam, f)
+
+
+def test_sign_classes_in_order_of_first_appearance():
+    """At p = 7 the residues are 1, 2 and 4; e counts only mod 2."""
+    fs = [GaloisElement(7, e, s) for e in (3, 0, 2, 1) for s in (3, 1, 2, 6, 5, 4)]
+    reps, classes = galois._sign_classes(fs)
+    assert [(f.e, f.s) for f in reps] == [(3, 3), (3, 1), (0, 3), (0, 1)]
+    assert classes == [0, 1, 1, 0, 0, 1] + [2, 3, 3, 2, 2, 3] * 2 + [0, 1, 1, 0, 0, 1]
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ MEMOS = {
     "galois._tau_partition_cached": (
         8192,
         "per strict part tuple (a spin label, or a self-conjugate label's diagonal hooks) "
-        "and automorphism",
+        "and sign class: p, e & 1 and (s/p)",
     ),
     "galois._zeta8_sign": (None, "per oracle field and exponent: i or sqrt(2), and c mod 8"),
     "galois._gauss_sign": (None, "per oracle field and exponent: q and c mod q"),
