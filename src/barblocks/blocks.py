@@ -9,7 +9,8 @@ non-spin block.  The engine in littlewood.py builds this list once per (kind,
 kappa, w, p), and both spin groups share it.  ``_blocks_of`` lists the blocks
 of degree n, those over the p-bar cores kappa with p | n - |kappa|.
 ``_members_of`` gives the members of a block of any kind and ``_heights_of``
-its defect and heights, for the ``blocks`` listing and ``_check_map`` alike.
+its defect and heights, for the ``blocks`` listing and ``_check_map`` alike;
+a verify run takes them once per block (``_block_heights``).
 bar_cores and selfconjugate_cores build the cores of both kinds by one walk
 over their characteristic vectors (littlewood._cores).
 
@@ -84,10 +85,10 @@ from .littlewood import (
     _ORDINARY,
     _cores,
     _members,
+    _rebuilt,
     bar_decompose,
     bar_reconstruct,
     ordinary_decompose,
-    ordinary_reconstruct,
     paired_parts,
 )
 from .partitions import BarPartition, Partition, _as, _Record, enumerate_partitions
@@ -199,6 +200,12 @@ def _heights_of(block, members) -> tuple:
     return height_and_defect(members, block.n, block.p)
 
 
+@lru_cache(maxsize=None)
+def _block_heights(block) -> tuple:
+    """_heights_of a block's members, once per block in a verify run."""
+    return _heights_of(block, _members_of(block))
+
+
 class LabelMap(_Record):
     __slots__ = ("source", "target", "pairs")
 
@@ -241,10 +248,10 @@ def psi(source: SpinBlockId, target_core: BarPartition, allow_reversed: bool = F
             "and a positive one on the alternating side (allow_reversed overrides)"
         )
     target = SpinBlockId(target_core, source.w, target_group, p)
+    charvec = bar_decompose(target_core, p).charvec
     pairs = []
     for label in spin_block_members(source):
-        quotient = bar_decompose(label.partition, p).quotient
-        image = bar_reconstruct(target_core, quotient, p)
+        image = _rebuilt(_BAR, bar_decompose(label.partition, p).quotient, charvec, p)
         pairs.append((label, CharLabel(image, target_group, SPIN, label.variant)))
     return LabelMap(source, target, tuple(pairs))
 
@@ -254,10 +261,10 @@ def nonspin_psi(kappa: Partition, target_core: Partition, w: int, p: int) -> Lab
     self-conjugate cores."""
     source = NonSpinBlockId(kappa, w, p)
     target = NonSpinBlockId(target_core, w, p)
+    charvec = ordinary_decompose(target.kappa, p).charvec
     pairs = []
     for label in nonspin_block_members(source):
-        quotient = ordinary_decompose(label.partition, p).quotient
-        image = ordinary_reconstruct(target_core, quotient, p)
+        image = _rebuilt(_ORDINARY, ordinary_decompose(label.partition, p).quotient, charvec, p)
         if label.variant == WHOLE:
             image = _orbit_rep(image)
         pairs.append((label, CharLabel(image, ATILDE, NONSPIN, label.variant)))
@@ -537,7 +544,7 @@ def _spin_blocks(bound, p, w_max):
     baseline = {}
     for w in range(1, w_max + 1):
         empty = SpinBlockId(BarPartition(), w, STILDE, p)
-        baseline[w], _ = _heights_of(empty, _members_of(empty))
+        baseline[w], _ = _block_heights(empty)
     for kappa in bar_cores(p, bound):
         for w in range(1, w_max + 1):
             for group in (STILDE, ATILDE):
@@ -582,8 +589,8 @@ def _check_map(lmap, where, heights=True):
         return None, [{**where, "reason": "not a bijection onto the target block"}]
     if not heights:
         return None, []
-    defect, hs = _heights_of(lmap.source, tuple(s for s, _ in lmap.pairs))
-    image_defect, ht = _heights_of(lmap.target, members)
+    defect, hs = _block_heights(lmap.source)
+    image_defect, ht = _block_heights(lmap.target)
     found = []
     if defect != image_defect:
         found.append({**where, "defect": defect, "image_defect": image_defect})
@@ -694,5 +701,6 @@ def verify(suite: str, p: int, bound: int, w_max: int = 3) -> VerificationReport
         raise ValueError(f"w_max must be at least 1, got {w_max}")
     if suite == "tau_oracle" and bound > ORACLE_MAX_M:
         raise ValueError(f"tau_oracle needs bound <= {ORACLE_MAX_M}, got {bound}")
+    _block_heights.cache_clear()  # the heights memo holds the blocks of one run
     cases, violations, notes = SUITES[suite](p, bound, w_max)
     return VerificationReport(suite, p, bound, cases, tuple(violations), tuple(notes))

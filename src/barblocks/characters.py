@@ -114,9 +114,19 @@ def nu_p_factorial(n: int, p: int) -> int:
 @lru_cache(maxsize=4096)
 def _valuation(parts: tuple[int, ...], p: int, spin: bool) -> int:
     """nu_p of n! over the product of the bar hook lengths (spin) or of the
-    hook lengths (non-spin) of the partition with these parts."""
-    hooks = bar_hook_lengths(BarPartition(parts)) if spin else Partition(parts).hook_lengths()
-    return nu_p_factorial(sum(parts), p) - sum(nu_p(h, p) for h in hooks if h % p == 0)
+    hook lengths (non-spin) of the partition with these parts.  With a each
+    part (spin) or first-column hook and b each later one, a's row holds 1..a
+    but the differences a-b, plus the sums a+b if spin; only the hooks p
+    divides count, and nu_p(a!) is the sum over the multiples of p up to a."""
+    v = nu_p_factorial(sum(parts), p)
+    if not spin:
+        parts = tuple(x + len(parts) - 1 - i for i, x in enumerate(parts))
+    for i, a in enumerate(parts):
+        later = parts[i + 1 :]
+        v += sum(nu_p(a - b, p) for b in later if (a - b) % p == 0) - nu_p_factorial(a, p)
+        if spin:
+            v -= sum(nu_p(a + b, p) for b in later if (a + b) % p == 0)
+    return v
 
 
 def spin_degree_valuation(lam: BarPartition, p: int) -> int:

@@ -188,8 +188,13 @@ def _diff_exponents(n: int, k: int) -> tuple[int, int]:
     return two_exp, (n - k + two_exp) // 2
 
 
+@lru_cache(maxsize=None)
+def _legendre(s: int, p: int) -> int:
+    return jacobi(s, p)
+
+
 def _sign_class(f: GaloisElement) -> tuple[int, int, int]:
-    return f.p, f.e & 1, jacobi(f.s, f.p)
+    return f.p, f.e & 1, _legendre(f.s, f.p)
 
 
 def _sign_classes(fs: Iterable[GaloisElement]) -> tuple[list[GaloisElement], list[int]]:

@@ -31,8 +31,10 @@ core and weight by reconstructing every quotient of that weight, from one
 list of the partitions of each size, each component placed on a runner of a
 given charnum once (``_placed``), and ``_cores`` lists the cores of both
 kinds, t-bar cores and self-conjugate p-cores, as the cores of the
-characteristic vectors within a size budget.  The moduli are odd integers
->= 3, not only primes: the engine needs no more.
+characteristic vectors within a size budget.  ``_rebuilt`` places a quotient
+on the runners of a core's characteristic vector, for ``_reconstruct`` and
+core replacement (blocks.psi).  Engine labels are built unchecked
+(``partitions._trusted``).  The moduli are odd integers >= 3, not only primes.
 
 The memos keyed by a core or a block are unbounded.  ``_decompose``, keyed
 by a label, is a bounded LRU, and so are ``_normalized`` and ``_placed``: at
@@ -49,7 +51,7 @@ from functools import lru_cache
 from operator import index
 
 from .partitions import (
-    BarPartition, Partition, _as, _frobenius, _from_frobenius, _gen, _Record, _shift,
+    BarPartition, Partition, _as, _frobenius, _from_frobenius, _gen, _Record, _shift, _trusted,
 )
 
 
@@ -88,9 +90,9 @@ class OrdinaryLittlewood(_Decomposition):
 # record, label: the classes of a decomposition and of a label; modulus: the
 # rule on m, for error messages; head: quotient components, and residues, read
 # off directly; width(m): runners at modulus m; counted(m): runners
-# 0..counted-1 count toward d and pair up; numbers(parts, m) -> (runner-0
-# slots, above numbers, below numbers), and parts its inverse; pair(x): the
-# printed form of a paired number.
+# 0..counted-1 count toward d and pair up; numbers(parts) -> the numbers of
+# the above beads and runner 0, then any others of the below beads, and parts
+# its inverse; pair(x): the printed form of a paired number.
 _Layout = namedtuple("_Layout", "record label modulus head width counted numbers parts pair")
 
 
@@ -101,11 +103,7 @@ _BAR = _Layout(
     head=1,
     width=lambda t: (t - 1) // 2,
     counted=lambda t: (t - 1) // 2,
-    numbers=lambda parts, t: (
-        tuple(x // t for x in parts if not x % t),
-        [x for x in parts if 0 < x % t <= (t - 1) // 2],
-        [x for x in parts if x % t > (t - 1) // 2],
-    ),
+    numbers=lambda parts: (parts,),
     parts=lambda runner0, above, below, t: tuple(
         sorted([t * k for k in runner0] + above + below, reverse=True)
     ),
@@ -118,7 +116,7 @@ _ORDINARY = _Layout(
     head=0,
     width=lambda p: p,
     counted=lambda p: (p + 1) // 2,
-    numbers=lambda parts, p: ((),) + _frobenius(parts),
+    numbers=_frobenius,
     parts=lambda runner0, arms, legs, p: _from_frobenius(arms, legs),
     pair=lambda x: 2 * x + 1,
 )
@@ -133,15 +131,16 @@ def _checked(layout: _Layout, lam, m: int) -> tuple[tuple[int, ...], int]:
 
 
 def _runners(layout: _Layout, parts: tuple[int, ...], m: int):
-    """Runner-0 slots and the fenced runners of a label."""
-    runner0, above_numbers, below_numbers = layout.numbers(parts, m)
-    above = [[] for _ in range(layout.width(m))]
-    below = [[] for _ in range(layout.width(m))]
-    for x in above_numbers:  # descending numbers give descending slots
-        above[x % m - layout.head].append(x // m)
-    for x in below_numbers:
-        below[m - 1 - x % m].append(x // m)
-    return runner0, [(tuple(a), tuple(b)) for a, b in zip(above, below)]
+    """Runner-0 slots and the fenced runners of a label: x at slot x // m of residue x % m."""
+    slots = []
+    for numbers in layout.numbers(parts):
+        residues = [[] for _ in range(m)]
+        for x in numbers:  # descending numbers give descending slots
+            residues[x % m].append(x // m)
+        slots.append(residues)
+    above, below, head = slots[0], slots[-1], layout.head
+    runners = [(tuple(above[j + head]), tuple(below[m - 1 - j])) for j in range(layout.width(m))]
+    return tuple(above[0]) if head else (), runners
 
 
 def _label_parts(layout: _Layout, runner0, runners, m: int) -> tuple[int, ...]:
@@ -153,25 +152,25 @@ def _label_parts(layout: _Layout, runner0, runners, m: int) -> tuple[int, ...]:
     return layout.parts(runner0, above, below, m)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=2048)
 def _normalized(runner: tuple) -> tuple:
-    """(c, pointed runner, quotient component, d-count) of one runner: its
-    charnum c, its shift by -c, the Frobenius reading of that shift, and how
-    many beads of the shift have numbers that vanish when c is reapplied."""
-    above, below = runner
-    c = len(above) - len(below)
-    above, below = _shift(above, below, -c)
-    d = sum(1 for x in (below if c > 0 else above) if x < abs(c))
-    return c, (above, below), Partition(_from_frobenius(above, below)), d
+    """(c, pointed runner, quotient component, its size, d-count) of a runner:
+    its charnum c, its shift by -c, the Frobenius reading of that shift, and
+    how many beads of the shift have numbers that vanish when c is reapplied."""
+    c = len(runner[0]) - len(runner[1])
+    pointed = _shift(*runner, -c) if c else runner  # a pointed runner is its own shift
+    d = sum(1 for x in pointed[c > 0] if x < abs(c))
+    component = _from_frobenius(*pointed)
+    return c, pointed, _trusted(Partition, component), sum(component), d
 
 
 @lru_cache(maxsize=None)
 def _core(layout: _Layout, charvec: tuple[int, ...], m: int):
     """The label whose runners are the reference runners of charvec."""
-    return layout.label(_label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
+    return _trusted(layout.label, _label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=2048)
 def _placed(parts: tuple[int, ...], c: int) -> tuple:
     """The runner of charnum c whose pointed runner reads as parts."""
     return _shift(*_frobenius(parts), c)
@@ -180,10 +179,10 @@ def _placed(parts: tuple[int, ...], c: int) -> tuple:
 @lru_cache(maxsize=4096)
 def _decompose(layout: _Layout, parts: tuple[int, ...], m: int):
     runner0, runners = _runners(layout, parts, m)
-    charvec, pointed, quotient, d = zip(*map(_normalized, runners))
-    quotient = (BarPartition(runner0),) * layout.head + quotient
-    cocore = layout.label(_label_parts(layout, runner0, pointed, m))
-    weight = sum(q.size for q in quotient)
+    charvec, pointed, quotient, sizes, d = zip(*map(_normalized, runners))
+    quotient = (_trusted(BarPartition, runner0),) * layout.head + quotient
+    cocore = _trusted(layout.label, _label_parts(layout, runner0, pointed, m))
+    weight = sum(runner0) + sum(sizes)
     d = sum(d[: layout.counted(m)])
     return layout.record(_core(layout, charvec, m), quotient, charvec, weight, cocore, d)
 
@@ -197,9 +196,17 @@ def _reconstruct(layout: _Layout, core, quotient, m: int):
     dec = _decompose(layout, *_checked(layout, core, m))
     if dec.weight != 0:
         raise ValueError(f"{core!r} is not a {m}-core")
-    runner0 = BarPartition(quotient[0].parts).parts if layout.head else ()
-    runners = [_placed(q.parts, c) for c, q in zip(dec.charvec, quotient[layout.head:])]
-    return layout.label(_label_parts(layout, runner0, runners, m))
+    if layout.head:
+        BarPartition(quotient[0].parts)  # the head component must be strict
+    return _rebuilt(layout, quotient, dec.charvec, m)
+
+
+def _rebuilt(layout: _Layout, quotient: tuple, charvec: tuple[int, ...], m: int):
+    """The label with this quotient over the core of characteristic vector
+    charvec, unchecked: the caller holds a valid quotient and a core's charvec."""
+    runner0 = quotient[0].parts if layout.head else ()
+    runners = [_placed(q.parts, c) for c, q in zip(charvec, quotient[layout.head:])]
+    return _trusted(layout.label, _label_parts(layout, runner0, runners, m))
 
 
 def _depth_first(count: int, choices, budget: int):
@@ -249,7 +256,7 @@ def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
     labels = []
     for picked, _ in _depth_first(len(columns), lambda k, left: choices[k][left], w):
         runner0 = picked[0] if layout.head else ()
-        labels.append(layout.label(_label_parts(layout, runner0, picked[layout.head:], m)))
+        labels.append(_trusted(layout.label, _label_parts(layout, runner0, picked[layout.head:], m)))
     return tuple(sorted(labels, key=lambda lam: lam.parts))
 
 

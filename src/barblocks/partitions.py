@@ -16,6 +16,7 @@ A record's JSON is its fields by name, in order (``_json``).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import partial
 from operator import attrgetter, index
 
 
@@ -85,7 +86,7 @@ class Partition:
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: arms and legs trade places."""
         arms, legs = _frobenius(self.parts)
-        return Partition(_from_frobenius(legs, arms))
+        return _trusted(Partition, _from_frobenius(legs, arms))
 
     def is_self_conjugate(self) -> bool:
         arms, legs = _frobenius(self.parts)
@@ -142,6 +143,14 @@ class BarPartition(Partition):
         for i in range(1, len(self.parts)):
             if self.parts[i - 1] == self.parts[i]:
                 raise ValueError(f"parts must be strictly decreasing, got {self.parts}")
+
+
+def _trusted(cls, parts: tuple[int, ...]):
+    """A cls with these parts, unchecked: only for parts that this module or the
+    engine in littlewood.py derived from validated input."""
+    lam = object.__new__(cls)
+    object.__setattr__(lam, "parts", parts)
+    return lam
 
 
 def _as(cls, value):
@@ -291,15 +300,15 @@ def _gen(n: int, max_part: int, gap: int, step: int) -> Iterator[tuple[int, ...]
 
 def _selfconjugate(hooks: tuple[int, ...]) -> Partition:
     arms = tuple(h // 2 for h in hooks)
-    return Partition(_from_frobenius(arms, arms))
+    return _trusted(Partition, _from_frobenius(arms, arms))
 
 
 # kind -> (gap, step, label of a generated tuple).  Self-conjugate partitions
 # of n <-> sets of distinct odd diagonal hook lengths summing to n; descending
 # hooks give descending parts.
 _KINDS = {
-    "all": (0, 1, Partition),
-    "strict": (1, 1, BarPartition),
+    "all": (0, 1, partial(_trusted, Partition)),
+    "strict": (1, 1, partial(_trusted, BarPartition)),
     "self_conjugate": (2, 2, _selfconjugate),
 }
 

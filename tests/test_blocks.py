@@ -38,7 +38,7 @@ from barblocks.characters import (
 from barblocks.cli import main
 from barblocks.galois import GaloisElement, standard_generators, tau_partition, tau_selfconjugate
 from barblocks.humphreys import G, GPLUS, GBlockId, GCharLabel, block_members, classify_g, cocores
-from barblocks.littlewood import bar_decompose, ordinary_decompose
+from barblocks.littlewood import bar_decompose, bar_reconstruct, ordinary_decompose, ordinary_reconstruct
 from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition, enumerate_partitions
 
 from oracles import bar_core_by_removal, p_core_by_hook_removal
@@ -480,14 +480,14 @@ WITNESS_CASES = [
         {"lambda": [], "reason": "decompose round trip"},
     ),
     (
-        "psi", 4, _doctored("bar_reconstruct", _extra_part(BarPartition)),
+        "psi", 4, _doctored("_rebuilt", _extra_part(BarPartition)),
         {
             "kappa": [], "kappa2": [1], "w": 1, "group": "stilde",
             "reason": "not a bijection onto the target block",
         },
     ),
     (
-        "psi_nonspin", 5, _doctored("ordinary_reconstruct", _extra_part(Partition)),
+        "psi_nonspin", 5, _doctored("_rebuilt", _extra_part(Partition)),
         {"kappa": [], "kappa2": [1], "w": 1, "reason": "not a bijection onto the target block"},
     ),
     (
@@ -898,3 +898,28 @@ def test_sigma_tau_filter_is_sharp():
                         passing.append((maps, p, a, b, w))
     assert passing == []
     assert counts == SHARPNESS_COUNTS
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_core_replacement_images_are_the_public_reconstructions(p):
+    """psi and nonspin_psi rebuild every image from the label's quotient and
+    the target core's characteristic vector without the public API; each
+    image is the public reconstruction of that quotient over the target core
+    (the larger of it and its conjugate for a whole non-spin label), on every
+    pair of cores of size <= 12 and every weight <= 3."""
+    spin, nonspin = bar_cores(p, 12), selfconjugate_cores(p, 12)
+    for w in range(1, 4):
+        for k1 in spin:
+            for group in (STILDE, ATILDE):
+                source = SpinBlockId(k1, w, group, p)
+                for k2 in spin:
+                    for label, image in psi(source, k2, allow_reversed=True).pairs:
+                        quotient = bar_decompose(label.partition, p).quotient
+                        assert image.partition == bar_reconstruct(k2, quotient, p)
+        for k1 in nonspin:
+            for k2 in nonspin:
+                for label, image in nonspin_psi(k1, k2, w, p).pairs:
+                    want = ordinary_reconstruct(k2, ordinary_decompose(label.partition, p).quotient, p)
+                    if label.variant == WHOLE:
+                        want = max(want, want.conjugate(), key=lambda lam: lam.parts)
+                    assert image.partition == want

@@ -13,6 +13,7 @@ from barblocks.characters import (
     SPIN,
     STILDE,
     CharLabel,
+    _valuation,
     bar_hook_lengths,
     classify,
     degree_valuation,
@@ -305,3 +306,19 @@ def test_char_label_validation_and_json():
         "flavor": "spin",
         "variant": "plus",
     }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_valuation_equals_the_one_from_the_full_hook_lists(p):
+    """_valuation visits only the hooks p divides; the public hook lists give
+    every hook, on all strict |lambda| <= 30 and all |lambda| <= 20."""
+
+    def from_hooks(lam, hooks):
+        return nu_p_factorial(lam.size, p) - sum(nu_p(h, p) for h in hooks if h % p == 0)
+
+    for n in range(31):
+        for lam in enumerate_partitions(n, "strict"):
+            assert _valuation.__wrapped__(lam.parts, p, True) == from_hooks(lam, bar_hook_lengths(lam))
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            assert _valuation.__wrapped__(lam.parts, p, False) == from_hooks(lam, lam.hook_lengths())

@@ -23,9 +23,11 @@ MODULES = [path.stem for path in SOURCES if path.stem != "__init__"]
 MEMOS = {
     "blocks.spin_block_members": (None, "per spin block"),
     "blocks.nonspin_block_members": (None, "per non-spin block"),
+    "blocks._block_heights": (None, "per block of any kind, cleared when each verify run starts"),
     "characters._valuation": (4096, "per label: parts, p and spin or not"),
     "galois._is_odd_prime": (None, "per prime"),
     "galois.standard_generators": (None, "per prime"),
+    "galois._legendre": (None, "per prime and residue s mod p"),
     "galois._tau_partition_cached": (
         8192,
         "per strict part tuple (a spin label, or a self-conjugate label's diagonal hooks) "
@@ -33,9 +35,9 @@ MEMOS = {
     ),
     "galois._zeta8_sign": (None, "per oracle field and exponent: i or sqrt(2), and c mod 8"),
     "galois._gauss_sign": (None, "per oracle field and exponent: q and c mod q"),
-    "littlewood._normalized": (4096, "per runner"),
+    "littlewood._normalized": (2048, "per runner"),
     "littlewood._core": (None, "per core: layout, characteristic vector and modulus"),
-    "littlewood._placed": (4096, "per placed component: parts and charnum"),
+    "littlewood._placed": (2048, "per placed component: parts and charnum"),
     "littlewood._decompose": (4096, "per label: layout, parts and modulus"),
     "littlewood._members": (None, "per block: layout, core, modulus and weight"),
 }
@@ -107,8 +109,8 @@ def _peak_mib(bound: int) -> float:
 def test_sweep_memory_grows_slower_than_the_cases():
     """From bound 30 to 45 the cases grow from 2,035 to 16,857, but the
     per-label memos are bounded, so the peak grows by at most 4x (the
-    per-runner memos, bounded at 4,096, hold 2,763 entries at 45 and fill
-    only above it)."""
+    per-runner memos, bounded at 2,048, hold that many of the 2,763 runners
+    seen at 45)."""
     small, large = _peak_mib(30), _peak_mib(45)
     assert large <= 4 * small, (small, large)
 

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +201,25 @@ def test_hook_lengths_product_is_integer_degree():
             for h in hooks:
                 prod *= h
             assert factorial(n) % prod == 0
+
+
+def test_only_the_engine_builds_unchecked_labels():
+    """partitions._trusted skips every check, so only partitions.py and
+    littlewood.py, which call it on parts built from validated input, may
+    name it."""
+    src = Path(__file__).resolve().parent.parent / "src" / "barblocks"
+    users = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "_trusted" or (isinstance(node, ast.alias) and node.name == "_trusted"):
+                users.add(path.name)
+    assert users == {"partitions.py", "littlewood.py"}
+
+
+@pytest.mark.parametrize("kind", ["all", "strict", "self_conjugate"])
+def test_enumerated_and_conjugated_labels_equal_their_validated_rebuild(kind):
+    for n in range(21):
+        for lam in enumerate_partitions(n, kind):
+            for x in (lam, lam.conjugate()):
+                assert type(x)(x.parts) == x

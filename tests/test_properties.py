@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from barblocks.abacus import BarAbacus  # noqa: E402
 from barblocks.littlewood import (  # noqa: E402
+    _BAR,
+    _ORDINARY,
+    _members,
     bar_decompose,
     bar_reconstruct,
     ordinary_decompose,
@@ -130,3 +133,31 @@ def test_self_conjugate_partitions(lam, p):
     dec = _check_ordinary(lam, p)
     assert dec.core == p_core_by_hook_removal(lam, p)
     assert lam.durfee() == dec.core.durfee() + dec.cocore.durfee() - 2 * dec.d
+
+
+def _validated_rebuild_is_equal(x):
+    assert type(x)(x.parts) == x
+
+
+@PROPERTY
+@given(
+    st.booleans().flatmap(lambda strict: st.tuples(partitions_of(st.integers(0, 300), strict), st.just(strict))),
+    st.integers(1, 50).map(lambda k: 2 * k + 1),
+)
+def test_engine_labels_equal_their_validated_rebuild(drawn, m):
+    """Every label the engine builds unchecked (partitions._trusted) is one
+    the validating constructor accepts: the core, cocore and quotient
+    components of a strict or ordinary partition of size <= 300 at an odd
+    modulus <= 101, its reconstruction, and the members of its core's blocks
+    of weight <= 2 (listed without the block memo)."""
+    lam, strict = drawn
+    layout, decompose, reconstruct = (
+        (_BAR, bar_decompose, bar_reconstruct) if strict
+        else (_ORDINARY, ordinary_decompose, ordinary_reconstruct)
+    )
+    dec = decompose(lam, m)
+    for x in (dec.core, dec.cocore, *dec.quotient, reconstruct(dec.core, dec.quotient, m)):
+        _validated_rebuild_is_equal(x)
+    for w in range(3):
+        for member in _members.__wrapped__(layout, dec.core.parts, m, w):
+            _validated_rebuild_is_equal(member)
