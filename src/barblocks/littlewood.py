@@ -158,7 +158,7 @@ def _normalized(runner: tuple) -> tuple:
     its charnum c, its shift by -c, the Frobenius reading of that shift, and
     how many beads of the shift have numbers that vanish when c is reapplied."""
     c = len(runner[0]) - len(runner[1])
-    pointed = _shift(*runner, -c) if c else runner  # a pointed runner is its own shift
+    pointed = _shift(*runner, -c) if c else runner  # the shift by 0 is the runner itself
     d = sum(1 for x in pointed[c > 0] if x < abs(c))
     component = _from_frobenius(*pointed)
     return c, pointed, _trusted(Partition, component), sum(component), d
