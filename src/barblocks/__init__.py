@@ -10,7 +10,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _NAMES_BY_MODULE = {
-    "abacus": ("BarAbacus", "FencedRunner", "TwistedBarAbacus", "reference_runner", "render"),
+    "abacus": ("BarAbacus", "FencedRunner", "TwistedBarAbacus", "render"),
     "blocks": (
         "LabelMap", "NonSpinBlockId", "SpinBlockId", "VerificationReport", "equivariance_check",
         "nonspin_block_members", "nonspin_psi", "phi_map", "psi", "spin_block_members", "verify",
@@ -29,14 +29,10 @@ _NAMES_BY_MODULE = {
         "phi", "phi_inverse", "tau_g",
     ),
     "littlewood": (
-        "BarLittlewood", "OrdinaryLittlewood", "bar_cocore", "bar_decompose", "bar_reconstruct",
-        "ordinary_cocore", "ordinary_decompose", "ordinary_reconstruct", "paired_parts",
-        "selfconjugate_paired_hooks",
+        "BarLittlewood", "OrdinaryLittlewood", "bar_decompose", "bar_reconstruct",
+        "ordinary_decompose", "ordinary_reconstruct", "paired_parts", "selfconjugate_paired_hooks",
     ),
-    "partitions": (
-        "BarPartition", "FrobeniusSymbol", "Partition", "enumerate_partitions", "from_frobenius",
-        "parse_partition",
-    ),
+    "partitions": ("BarPartition", "FrobeniusSymbol", "Partition", "enumerate_partitions"),
 }
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in _NAMES_BY_MODULE.items() for name in names}

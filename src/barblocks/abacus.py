@@ -11,7 +11,9 @@ Conventions used throughout:
   two descending int tuples.
 * With above slot k at position k and below slot k at position -1-k, a shift
   by c is one translation of every bead (`partitions._shift`, shared with
-  the engine); pull_up is c = 1.
+  the engine); pull_up is c = 1.  The reference runner of m, the first m
+  above slots black (m > 0) or the first -m below slots white (m < 0), is
+  ``FencedRunner().shift(m)``.
 * A runner is *pointed* when it carries as many black beads above as white
   beads below.  A pointed runner encodes a partition through its Frobenius
   symbol: black slots above are the arms, white slots below are the legs.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import index
 
-from .partitions import BarPartition, FrobeniusSymbol, Partition, _as, _Record, _shift
+from .partitions import BarPartition, FrobeniusSymbol, Partition, _as, _odd_modulus, _Record, _shift
 
 BLACK = "●"
 WHITE = "○"
@@ -59,10 +61,6 @@ class FencedRunner(_Record):
     @property
     def is_pointed(self) -> bool:
         return self.charnum == 0
-
-    @property
-    def is_default(self) -> bool:
-        return not self.black_above and not self.white_below
 
     def push_down(self) -> "FencedRunner":
         """Move every bead one slot downward; above-slot 0 crosses the fence."""
@@ -110,26 +108,13 @@ class FencedRunner(_Record):
         return {"above": sorted(self.black_above), "below": sorted(self.white_below)}
 
 
-def reference_runner(m: int) -> FencedRunner:
-    """Runner with the first m above slots blackened (m > 0) or the first -m
-    below slots whitened (m < 0)."""
-    return FencedRunner().shift(m)
-
-
-def _check_t(t: int) -> int:
-    t = index(t)
-    if t < 3 or t % 2 == 0:
-        raise ValueError(f"t must be an odd integer >= 3, got {t}")
-    return t
-
-
 class BarAbacus(_Record):
     """t-runner abacus of a strict partition: black slots per residue runner."""
 
     __slots__ = ("t", "runners")
 
     def __init__(self, t: int, runners: tuple[frozenset, ...]):
-        t = _check_t(t)
+        t = _odd_modulus(t)
         runners = tuple(_as_slot_set(r) for r in runners)
         if len(runners) != t:
             raise ValueError(f"need {t} runners, got {len(runners)}")
@@ -140,7 +125,7 @@ class BarAbacus(_Record):
 
     @classmethod
     def from_partition(cls, lam: BarPartition, t: int) -> "BarAbacus":
-        t = _check_t(t)
+        t = _odd_modulus(t)
         runners = [set() for _ in range(t)]
         for part in _as(BarPartition, lam).parts:
             runners[part % t].add(part // t)
@@ -167,7 +152,7 @@ class TwistedBarAbacus(_Record):
     __slots__ = ("t", "runner0", "shifted")
 
     def __init__(self, t: int, runner0: frozenset, shifted: tuple[FencedRunner, ...]):
-        t = _check_t(t)
+        t = _odd_modulus(t)
         runner0 = _as_slot_set(runner0)
         if 0 in runner0:
             raise ValueError("runner 0 cannot use slot 0")

@@ -60,6 +60,7 @@ from .characters import (
 from .galois import (
     ORACLE_MAX_M,
     GaloisElement,
+    _odd_prime,
     _sign_classes,
     oracle_tau_sqrt,
     standard_generators,
@@ -118,7 +119,7 @@ class SpinBlockId(_Record):
 
     def __init__(self, kappa: BarPartition, w: int, group: str, p: int):
         kappa, w = _as(BarPartition, kappa), operator.index(w)
-        GaloisElement(p)  # raises "p must be an odd prime, got ..." for any other p
+        p = _odd_prime(p)
         if group not in (STILDE, ATILDE):
             raise ValueError(f"group must be {STILDE!r} or {ATILDE!r}")
         if w < 0:
@@ -137,7 +138,7 @@ class NonSpinBlockId(_Record):
 
     def __init__(self, kappa: Partition, w: int, p: int):
         kappa, w = _as(Partition, kappa), operator.index(w)
-        GaloisElement(p)
+        p = _odd_prime(p)
         if not kappa.is_self_conjugate():
             raise ValueError(f"{kappa!r} is not self-conjugate")
         if ordinary_decompose(kappa, p).weight != 0:
@@ -211,9 +212,6 @@ class LabelMap(_Record):
 
     def __init__(self, source: object, target: object, pairs: tuple[tuple[object, object], ...]):
         self._set(source, target, pairs)
-
-    def as_dict(self) -> dict:
-        return dict(self.pairs)
 
 
 def phi_map(block: SpinBlockId) -> LabelMap:
@@ -696,7 +694,7 @@ def verify(suite: str, p: int, bound: int, w_max: int = 3) -> VerificationReport
     bound, w_max = operator.index(bound), operator.index(w_max)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    GaloisElement(p)  # raises "p must be an odd prime, got ..." for any other p
+    p = _odd_prime(p)
     if w_max < 1:
         raise ValueError(f"w_max must be at least 1, got {w_max}")
     if suite == "tau_oracle" and bound > ORACLE_MAX_M:

@@ -1,15 +1,15 @@
 """Character labels for the double covers of the symmetric and
 alternating groups, hook-length data, degree valuations, heights and defects.
 
-Only p-valuations of degrees are ever computed (p odd); the 2-power left
-open by the degree formula is invisible to them.
+Only p-valuations of degrees are ever computed, p an odd prime; the 2-power
+left open by the degree formula is invisible to them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .galois import GaloisElement, tau_partition, tau_selfconjugate
+from .galois import GaloisElement, _odd_prime, tau_partition, tau_selfconjugate
 from .partitions import BarPartition, Partition, _as, _Record
 
 STILDE = "stilde"
@@ -89,8 +89,6 @@ def bar_hook_lengths(lam: BarPartition) -> tuple[int, ...]:
 
 
 def nu_p(n: int, p: int) -> int:
-    if p < 2:  # the loop would never end at p = 1 or -1
-        raise ValueError(f"p must be at least 2, got {p}")
     if n == 0:
         raise ValueError("0 has no p-valuation")
     v = 0
@@ -101,8 +99,6 @@ def nu_p(n: int, p: int) -> int:
 
 
 def nu_p_factorial(n: int, p: int) -> int:
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
     v = 0
     q = p
     while q <= n:
@@ -111,13 +107,18 @@ def nu_p_factorial(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _valuation(parts: tuple[int, ...], p: int, spin: bool) -> int:
     """nu_p of n! over the product of the bar hook lengths (spin) or of the
     hook lengths (non-spin) of the partition with these parts.  With a each
     part (spin) or first-column hook and b each later one, a's row holds 1..a
     but the differences a-b, plus the sums a+b if spin; only the hooks p
-    divides count, and nu_p(a!) is the sum over the multiples of p up to a."""
+    divides count, and nu_p(a!) is the sum over the multiples of p up to a.
+
+    Every valuation and height reads its degrees here, so p is checked here,
+    once per distinct label: an odd prime, or "p must be an odd prime".  The
+    memo is typed, so a float p misses it and is refused like any other."""
+    p = _odd_prime(p)
     v = nu_p_factorial(sum(parts), p)
     if not spin:
         parts = tuple(x + len(parts) - 1 - i for i, x in enumerate(parts))

@@ -98,6 +98,16 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
+def _odd_prime(p) -> int:
+    """p read by operator.index, refused unless it is an odd prime: the one
+    check of a prime argument, made where it enters (automorphisms, block ids,
+    verify, the blocks command, and the valuations on a memo miss)."""
+    p = index(p)
+    if not _is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    return p
+
+
 class GaloisElement(_Record):
     """Automorphism acting by zeta -> zeta**(p**e) on p'-roots of unity and
     by zeta_p -> zeta_p**s on p-th roots."""
@@ -106,8 +116,7 @@ class GaloisElement(_Record):
 
     def __init__(self, p: int, e: int = 1, s: int = 1):
         p, e, s = index(p), index(e), index(s)
-        if not _is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        _odd_prime(p)
         if e < 0:
             raise ValueError("e must be non-negative")
         s %= p
@@ -122,10 +131,6 @@ class GaloisElement(_Record):
         """The generator acting by x -> x**p on p'-roots, trivially on
         p-power roots."""
         return cls(p, e=1, s=1)
-
-    @classmethod
-    def identity(cls, p: int) -> "GaloisElement":
-        return cls(p, e=0, s=1)
 
     @classmethod
     def p_trivial(cls, p: int, s: int) -> "GaloisElement":
@@ -305,10 +310,6 @@ class SurdValue(_Record):
         if radicand < 1:
             raise ValueError("radicand must be positive")
         self._set(two_exp, i_exp % 4, squarefree_part(radicand))
-
-    @classmethod
-    def one(cls) -> "SurdValue":
-        return cls(0, 0, 1)
 
 
 def diff_value(lam: BarPartition) -> SurdValue:

@@ -25,7 +25,7 @@ from .characters import (
     nu_p_factorial,
     spin_degree_valuation,
 )
-from .galois import GaloisElement, tau_i, tau_partition
+from .galois import GaloisElement, _odd_prime, tau_i, tau_partition
 from .littlewood import _BAR, _checked, _members, bar_decompose, bar_reconstruct
 from .partitions import BarPartition, _as, _Record
 
@@ -56,7 +56,7 @@ class GBlockId(_Record):
 
     def __init__(self, kappa: BarPartition, w: int, group: str, p: int):
         kappa, w = _as(BarPartition, kappa), index(w)
-        GaloisElement(p)  # raises "p must be an odd prime, got ..." for any other p
+        p = _odd_prime(p)
         if group not in _GGROUPS:
             raise ValueError(f"group must be one of {_GGROUPS}")
         if w < 1:

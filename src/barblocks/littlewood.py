@@ -48,10 +48,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from operator import index
 
 from .partitions import (
-    BarPartition, Partition, _as, _frobenius, _from_frobenius, _gen, _Record, _shift, _trusted,
+    BarPartition, Partition, _as, _frobenius, _from_frobenius, _gen, _odd_modulus, _Record, _shift,
+    _trusted,
 )
 
 
@@ -124,10 +124,7 @@ _ORDINARY = _Layout(
 
 def _checked(layout: _Layout, lam, m: int) -> tuple[tuple[int, ...], int]:
     """The parts of a label and its modulus, validated at the public boundary."""
-    lam, m = _as(layout.label, lam), index(m)
-    if m % 2 == 0 or m < 3:
-        raise ValueError(f"{layout.modulus}, got {m}")
-    return lam.parts, m
+    return _as(layout.label, lam).parts, _odd_modulus(m, layout.modulus)
 
 
 def _runners(layout: _Layout, parts: tuple[int, ...], m: int):
@@ -322,11 +319,6 @@ def bar_reconstruct(core: BarPartition, quotient: Sequence[Partition], t: int) -
     return _reconstruct(_BAR, core, quotient, t)
 
 
-def bar_cocore(lam: BarPartition, t: int) -> BarPartition:
-    """The unique strict partition with empty t-core and the same quotient."""
-    return bar_decompose(lam, t).cocore
-
-
 def paired_parts(lam: BarPartition, p: int) -> tuple[tuple[int, int], ...]:
     """Match the parts of a p-cocore across residue pairs (r, p-r).
 
@@ -350,10 +342,6 @@ def ordinary_decompose(lam: Partition, p: int) -> OrdinaryLittlewood:
 
 def ordinary_reconstruct(core: Partition, quotient: Sequence[Partition], p: int) -> Partition:
     return _reconstruct(_ORDINARY, core, quotient, p)
-
-
-def ordinary_cocore(lam: Partition, p: int) -> Partition:
-    return ordinary_decompose(lam, p).cocore
 
 
 def selfconjugate_paired_hooks(lam: Partition, p: int) -> tuple[tuple[int, int], ...]:

@@ -158,6 +158,15 @@ def _as(cls, value):
     return value if isinstance(value, cls) else cls(value)
 
 
+def _odd_modulus(m, rule: str = "t must be an odd integer >= 3") -> int:
+    """m read by operator.index, refused unless it is an odd integer >= 3: the
+    one modulus check of abacus.py and littlewood.py.  rule opens the message."""
+    m = index(m)
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"{rule}, got {m}")
+    return m
+
+
 class _Record:
     """Base of the immutable records.  The fields, two or more, are the
     ``__slots__`` of the class and its bases in order; ``_key(record)`` is
@@ -282,10 +291,6 @@ def _shift(above: tuple, below: tuple, c: int) -> tuple[tuple, tuple]:
     )
 
 
-def from_frobenius(legs: Iterable[int], arms: Iterable[int]) -> Partition:
-    return FrobeniusSymbol(legs=tuple(legs), arms=tuple(arms)).to_partition()
-
-
 def _gen(n: int, max_part: int, gap: int, step: int) -> Iterator[tuple[int, ...]]:
     """Descending part tuples summing to n, parts at most max_part, each part
     at least gap below the one before; with step 2 every part is odd."""
@@ -326,8 +331,3 @@ def enumerate_partitions(n: int, kind: str = "all") -> Iterator[Partition]:
         raise ValueError(f"unknown kind {kind!r}")
     gap, step, label = _KINDS[kind]
     return map(label, _gen(n, n, gap, step))
-
-
-def parse_partition(text: str, strict: bool = False) -> Partition:
-    """Parse the "a,b,c" text form ("" is the empty partition)."""
-    return (BarPartition if strict else Partition).from_text(text)

@@ -4,7 +4,6 @@ from barblocks.abacus import (
     BarAbacus,
     FencedRunner,
     TwistedBarAbacus,
-    reference_runner,
     render,
 )
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
@@ -65,7 +64,7 @@ def test_untwist_printed_t5_example():
 def test_twist_empty_is_default():
     twisted = BarAbacus.from_partition(BarPartition(), 3).twist()
     assert not twisted.runner0
-    assert all(fr.is_default for fr in twisted.shifted)
+    assert all(fr == FencedRunner() for fr in twisted.shifted)
 
 
 def test_twist_round_trip():
@@ -78,16 +77,17 @@ def test_twist_round_trip():
 
 
 def test_reference_runner():
-    assert reference_runner(1) == FencedRunner({0}, frozenset())
-    assert reference_runner(-1) == FencedRunner(frozenset(), {0})
-    assert reference_runner(0).is_default
-    assert reference_runner(3) == FencedRunner({0, 1, 2}, frozenset())
+    """The reference runner of m is the default runner shifted by m."""
+    assert FencedRunner().shift(1) == FencedRunner({0}, frozenset())
+    assert FencedRunner().shift(-1) == FencedRunner(frozenset(), {0})
+    assert FencedRunner().shift(0) == FencedRunner()
+    assert FencedRunner().shift(3) == FencedRunner({0, 1, 2}, frozenset())
 
 
 def test_reference_runner_normalizes_to_default():
     for m in range(-5, 6):
-        pointed, c = reference_runner(m).normalize()
-        assert pointed.is_default
+        pointed, c = FencedRunner().shift(m).normalize()
+        assert pointed == FencedRunner()
         assert c == m
 
 

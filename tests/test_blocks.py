@@ -118,7 +118,7 @@ def test_psi_identity_and_composition():
 
     forward = psi(block, k2)
     back = psi(forward.target, k1)
-    back_map = back.as_dict()
+    back_map = dict(back.pairs)
     for src, dst in forward.pairs:
         assert back_map[dst] == src
 

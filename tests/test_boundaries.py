@@ -44,10 +44,8 @@ from barblocks.galois import (
 )
 from barblocks.humphreys import GBlockId, GCharLabel, block_members, classify_g, cocores, phi
 from barblocks.littlewood import (
-    bar_cocore,
     bar_decompose,
     bar_reconstruct,
-    ordinary_cocore,
     ordinary_decompose,
     ordinary_reconstruct,
     paired_parts,
@@ -163,14 +161,12 @@ COERCIONS = {
     "g_char_label": (GCharLabel, lambda kind: GCharLabel(kind([2, 1]), kind([1]), "g", "plus")),
     "classify_g": (classify_g, lambda kind: classify_g(kind([2, 1]), kind([1]), "g")),
     "bar_decompose": (bar_decompose, lambda kind: bar_decompose(kind([5, 3, 1]), 3)),
-    "bar_cocore": (bar_cocore, lambda kind: bar_cocore(kind([5, 3, 1]), 3)),
     "paired_parts": (paired_parts, lambda kind: paired_parts(kind([2, 1]), 3)),
     "ordinary_decompose": (ordinary_decompose, lambda kind: ordinary_decompose(kind([3, 1]), 3)),
     "ordinary_reconstruct": (
         ordinary_reconstruct,
         lambda kind: ordinary_reconstruct(kind([1]), (kind([]), kind([1]), kind([])), 3),
     ),
-    "ordinary_cocore": (ordinary_cocore, lambda kind: ordinary_cocore(kind([3, 1]), 3)),
 }
 
 # public callables with a partition parameter that need no row: they are built
@@ -297,6 +293,7 @@ NON_INTEGERS = {
     "verify-w-max": lambda: verify("roundtrips", 3, 5, w_max=2.5),
     "enumerate-partitions": lambda: enumerate_partitions(2.5),
     "cocores-weight": lambda: cocores(1.5, 3),
+    "valuation-p": lambda: (spin_degree_valuation([2, 1], 3), spin_degree_valuation([2, 1], 3.0)),
 }
 
 
@@ -327,7 +324,7 @@ def test_the_core_tau_note_does_not_depend_on_the_class_of_the_cores(p):
 
 
 def test_ordinary_cocore_of_a_cocore_is_itself():
-    assert ordinary_cocore(Partition([3, 2, 1]), 3) == Partition([3, 2, 1])
+    assert ordinary_decompose(Partition([3, 2, 1]), 3).cocore == Partition([3, 2, 1])
 
 
 def test_partition_order_is_the_order_of_parts():

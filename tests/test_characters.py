@@ -30,7 +30,6 @@ from barblocks.littlewood import (
     _BAR,
     _ORDINARY,
     _members,
-    bar_cocore,
     bar_decompose,
     ordinary_decompose,
 )
@@ -87,7 +86,7 @@ def test_p_divisible_bar_hooks_depend_only_on_quotient():
     for p in (3, 5):
         for n in range(31):
             for lam in enumerate_partitions(n, "strict"):
-                cocore = bar_cocore(lam, p)
+                cocore = bar_decompose(lam, p).cocore
                 mine = sorted(h for h in bar_hook_lengths(lam) if h % p == 0)
                 theirs = sorted(h for h in bar_hook_lengths(cocore) if h % p == 0)
                 assert mine == theirs
@@ -101,27 +100,47 @@ def test_valuation_helpers():
         nu_p(0, 3)
 
 
-def test_valuations_refuse_p_below_2():
-    """Every valuation and height goes through nu_p and nu_p_factorial, whose
-    loops never end at p = 1 or -1.  The calls run in a subprocess with a
-    timeout, so a hang fails this test instead of stalling the run."""
-    code = """
-from barblocks.characters import CharLabel, degree_valuation, nu_p, nu_p_factorial
-from barblocks.partitions import BarPartition
-label = CharLabel(BarPartition([2, 1]), "stilde", "spin", "whole")
-calls = (lambda p: degree_valuation(label, p), lambda p: nu_p(9, p), lambda p: nu_p_factorial(3, p))
-for p in (1, 0, -1, -3):
-    for call in calls:
-        try:
-            call(p)
-        except ValueError as exc:
-            assert f"got {p}" in str(exc), exc
-        else:
-            raise SystemExit(f"p={p} accepted")
+# entry -> (the call at p, its answer at p = 3)
+VALUATION_ENTRIES = {
+    "spin_degree_valuation": ("spin_degree_valuation(BarPartition([4, 1]), p)", "1"),
+    "nonspin_degree_valuation": ("nonspin_degree_valuation(Partition([3, 1]), p)", "1"),
+    "degree_valuation": ("degree_valuation(classify(BarPartition([4, 1]), STILDE)[0], p)", "1"),
+    "g_degree_valuation": ("g_degree_valuation(classify_g([4, 1], [1], G)[0], p)", "1"),
+    "height_and_defect": ("height_and_defect(classify(BarPartition([6]), STILDE), 6, p)[0]", "2"),
+    "g_height_and_defect": ("g_height_and_defect(classify_g([1], [6], G), p)[0]", "2"),
+}
+
+
+@pytest.mark.parametrize("call, answer", VALUATION_ENTRIES.values(), ids=list(VALUATION_ENTRIES))
+def test_valuations_and_heights_refuse_a_p_that_is_not_an_odd_prime(call, answer):
+    """p = 2 and p = 9 would give numbers that are no valuation of the
+    paper's, and at p = 1 or -1 the valuation loops would never end; each is
+    refused with the rule in under 1 s, and p = 3 answers.  The calls run in a
+    subprocess with a timeout, so a hang fails this test instead of stalling
+    the run."""
+    code = f"""
+import time
+from barblocks.characters import (
+    STILDE, classify, degree_valuation, height_and_defect, nonspin_degree_valuation,
+    spin_degree_valuation,
+)
+from barblocks.humphreys import G, classify_g, g_degree_valuation, g_height_and_defect
+from barblocks.partitions import BarPartition, Partition
+for p in (2, 9, 1, 0, -1, -3):
+    start = time.perf_counter()
+    try:
+        {call}
+    except ValueError as exc:
+        assert str(exc) == f"p must be an odd prime, got {{p}}", exc
+    else:
+        raise SystemExit(f"p={{p}} accepted")
+    assert time.perf_counter() - start < 1, p
+p = 3
+print({call})
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
-    assert (done.returncode, done.stderr) == (0, "")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", answer + "\n")
 
 
 def test_degree_valuation_examples():

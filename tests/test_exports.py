@@ -10,7 +10,7 @@ import barblocks
 
 # the public names of the package, as its eager imports bound them
 PUBLIC = {
-    "abacus": "BarAbacus FencedRunner TwistedBarAbacus reference_runner render",
+    "abacus": "BarAbacus FencedRunner TwistedBarAbacus render",
     "blocks": "LabelMap NonSpinBlockId SpinBlockId VerificationReport equivariance_check "
     "nonspin_block_members nonspin_psi phi_map psi spin_block_members verify",
     "characters": "ATILDE STILDE CharLabel bar_hook_lengths classify degree_valuation "
@@ -19,14 +19,14 @@ PUBLIC = {
     "tau_partition tau_selfconjugate tau_sqrt tau_sqrt2",
     "humphreys": "G GPLUS GBlockId GCharLabel block_members classify_g g_degree_valuation phi "
     "phi_inverse tau_g",
-    "littlewood": "BarLittlewood OrdinaryLittlewood bar_cocore bar_decompose bar_reconstruct "
-    "ordinary_cocore ordinary_decompose ordinary_reconstruct paired_parts selfconjugate_paired_hooks",
-    "partitions": "BarPartition FrobeniusSymbol Partition enumerate_partitions from_frobenius parse_partition",
+    "littlewood": "BarLittlewood OrdinaryLittlewood bar_decompose bar_reconstruct ordinary_decompose "
+    "ordinary_reconstruct paired_parts selfconjugate_paired_hooks",
+    "partitions": "BarPartition FrobeniusSymbol Partition enumerate_partitions",
 }
 
 
 def test_all_lists_the_public_names():
-    assert len(barblocks.__all__) == len(set(barblocks.__all__)) == 61
+    assert len(barblocks.__all__) == len(set(barblocks.__all__)) == 56
     assert set(barblocks.__all__) == {name for names in PUBLIC.values() for name in names.split()}
     assert barblocks.__version__ == "0.1.0"
 

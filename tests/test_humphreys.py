@@ -60,7 +60,7 @@ def test_tau_g_rules():
     assert whole.variant == "whole"
     for f in standard_generators(3):
         assert tau_g(whole, f) == 1
-        assert tau_g(mixed, GaloisElement.identity(3)) == 1
+        assert tau_g(mixed, GaloisElement(3, 0, 1)) == 1
 
 
 def test_cocores_weight_one():

@@ -10,10 +10,8 @@ from barblocks import littlewood, partitions
 from barblocks.littlewood import (
     BarLittlewood,
     OrdinaryLittlewood,
-    bar_cocore,
     bar_decompose,
     bar_reconstruct,
-    ordinary_cocore,
     ordinary_decompose,
     ordinary_reconstruct,
     paired_parts,
@@ -106,15 +104,15 @@ def test_length_and_sign_identities():
 
 
 def test_cocore_properties():
-    assert bar_cocore(BarPartition([4, 3, 2, 1]), 3) == BarPartition([5, 3, 1])
-    assert bar_cocore(BarPartition([2, 1]), 3) == BarPartition([2, 1])
+    assert bar_decompose(BarPartition([4, 3, 2, 1]), 3).cocore == BarPartition([5, 3, 1])
+    assert bar_decompose(BarPartition([2, 1]), 3).cocore == BarPartition([2, 1])
     for lam in strict_upto(18):
         for p in (3, 5):
-            cocore = bar_cocore(lam, p)
+            cocore = bar_decompose(lam, p).cocore
             dec = bar_decompose(cocore, p)
             assert not dec.core
             assert dec.quotient == bar_decompose(lam, p).quotient
-            assert bar_cocore(cocore, p) == cocore
+            assert dec.cocore == cocore
             assert cocore.size == p * bar_decompose(lam, p).weight
 
 

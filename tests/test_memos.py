@@ -9,6 +9,7 @@ unbounded.  A new memo, or a changed bound, edits MEMOS.
 """
 
 import ast
+import gc
 import importlib
 import tracemalloc
 from pathlib import Path
@@ -95,7 +96,11 @@ def test_the_memo_reader_finds_every_form():
 
 
 def _peak_mib(bound: int) -> float:
+    """Peak traced MiB of one sweep from empty memos.  The collection empties
+    the interpreter's free lists, whose parked tuples would otherwise count
+    or not depending on what ran before in the process."""
     _clear_every_memo()
+    gc.collect()
     tracemalloc.start()
     try:
         report = verify("roundtrips", 3, bound)

@@ -9,8 +9,6 @@ from barblocks.partitions import (
     FrobeniusSymbol,
     Partition,
     enumerate_partitions,
-    from_frobenius,
-    parse_partition,
 )
 from oracles import count_odd_part_partitions
 
@@ -56,14 +54,14 @@ def test_frobenius_example():
     fs = Partition([4, 4, 3, 3]).frobenius()
     assert fs.legs == (3, 2, 1)
     assert fs.arms == (3, 2, 0)
-    assert from_frobenius((1, 2, 3), (0, 2, 3)) == Partition([4, 4, 3, 3])
+    assert FrobeniusSymbol((1, 2, 3), (0, 2, 3)).to_partition() == Partition([4, 4, 3, 3])
 
 
 def test_frobenius_small_cases():
     assert Partition([2, 1, 1]).frobenius() == FrobeniusSymbol(legs=(2,), arms=(1,))
     assert Partition([3, 2]).frobenius() == FrobeniusSymbol(legs=(1, 0), arms=(2, 0))
     assert Partition().frobenius() == FrobeniusSymbol(legs=(), arms=())
-    assert from_frobenius((), ()) == Partition()
+    assert FrobeniusSymbol((), ()).to_partition() == Partition()
 
 
 def test_frobenius_rejects_mismatch():
@@ -165,24 +163,24 @@ def test_enumerate_refuses_at_the_call_and_stays_lazy():
 
 def test_text_round_trip():
     for text in ("", "1", "5,3,1", "14,12,8,6,3,2"):
-        lam = parse_partition(text, strict=True)
+        lam = BarPartition.from_text(text)
         assert str(lam) == text
-    assert parse_partition("") == Partition()
+    assert Partition.from_text("") == Partition()
     with pytest.raises(ValueError):
-        parse_partition("3,3", strict=True)
+        BarPartition.from_text("3,3")
 
 
 @pytest.mark.parametrize("text, field", [("1,,2", ""), ("1e3", "1e3"), ("x", "x"), (",", ""), ("4, 2.5", " 2.5")])
 def test_text_refusal_names_literal_and_field(text, field):
-    for strict in (False, True):
+    for cls in (Partition, BarPartition):
         with pytest.raises(ValueError) as exc:
-            parse_partition(text, strict=strict)
+            cls.from_text(text)
         assert str(exc.value) == f"cannot parse partition {text!r}: field {field!r} is not an integer"
 
 
 def test_text_accepts_what_int_accepts():
-    assert parse_partition(" 3, +2 ,1 ", strict=True) == BarPartition([3, 2, 1])
-    assert parse_partition("  ") == Partition()
+    assert BarPartition.from_text(" 3, +2 ,1 ") == BarPartition([3, 2, 1])
+    assert Partition.from_text("  ") == Partition()
 
 
 def test_json_form():

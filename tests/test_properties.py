@@ -27,9 +27,9 @@ from barblocks.littlewood import (  # noqa: E402
 )
 from barblocks.partitions import (  # noqa: E402
     BarPartition,
+    FrobeniusSymbol,
     Partition,
     enumerate_partitions,
-    from_frobenius,
 )
 from oracles import bar_core_by_removal, p_core_by_hook_removal  # noqa: E402
 
@@ -67,7 +67,7 @@ def lopsided(draw, strict):
 def self_conjugate(draw):
     """Distinct diagonal arms from a strict partition; sizes about 100-500."""
     arms = [x - 1 for x in draw(partitions_of(st.integers(50, 250), strict=True))]
-    return from_frobenius(arms, arms)
+    return FrobeniusSymbol(arms, arms).to_partition()
 
 
 def _check_bar(lam, t):
