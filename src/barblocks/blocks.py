@@ -61,8 +61,9 @@ from .galois import (
     ORACLE_MAX_M,
     GaloisElement,
     _odd_prime,
+    _odd_primes,
+    _oracle_sign,
     _sign_classes,
-    oracle_tau_sqrt,
     standard_generators,
     tau_partition,
     tau_selfconjugate,
@@ -441,9 +442,9 @@ def _suite_tau_oracle(p, bound, w_max):
     elements = [GaloisElement(p, e, s) for e in (0, 1, 2) for s in range(1, p)]
 
     def check(m, p):
-        found = []
+        primes, found = _odd_primes(m), []
         for f in elements:
-            closed, exact = tau_sqrt(m, f), oracle_tau_sqrt(m, f)
+            closed, exact = tau_sqrt(m, f), _oracle_sign(primes, f)
             if closed != exact:
                 found.append({"m": m, "f": f.to_json(), "closed": closed, "oracle": exact})
         return len(elements), found

@@ -31,7 +31,8 @@ p**e mod 8.  So the oracle makes each exact comparison once per field and
 exponent, (q, c) for the Gauss sum at q and c for i and sqrt(2), and memoizes
 the resulting sign.  The key is c itself, never its Legendre symbol: that
 symbol is what the closed forms compute, and keying by it would make the
-oracle depend on them.
+oracle depend on them.  Each Gauss sum is built once per field, from the
+squares mod q, and a sweep factors each m once (``_odd_primes``).
 """
 
 from __future__ import annotations
@@ -326,20 +327,14 @@ def selfconjugate_diff_value(lam: Partition) -> SurdValue:
     return diff_value(_selfconjugate_hooks(lam))
 
 
-def _legendre_euler(a: int, q: int) -> int:
-    # Euler's criterion; deliberately not routed through jacobi()
-    r = pow(a % q, (q - 1) // 2, q)
-    return 1 if r == 1 else -1
-
-
 def _canon8(vec: list[int]) -> tuple[int, ...]:
     # Phi_8 = x^4 + 1
     return tuple(vec[i] - vec[i + 4] for i in range(4))
 
 
-def _canon_prime(vec: list[int], q: int) -> tuple[int, ...]:
-    # Phi_q = 1 + x + ... + x^(q-1)
-    return tuple(v - vec[q - 1] for v in vec[: q - 1])
+def _canon_prime(vec: list[int]) -> tuple[int, ...]:
+    # Phi_q = 1 + x + ... + x^(q-1), q = len(vec)
+    return tuple(v - vec[-1] for v in vec[:-1])
 
 
 def _apply_exponent(vec: list[int], n: int, c: int) -> list[int]:
@@ -351,8 +346,8 @@ def _apply_exponent(vec: list[int], n: int, c: int) -> list[int]:
     return out
 
 
-def _scaling_sign(vec: list[int], n: int, c: int, canon) -> int:
-    base = canon(vec)
+def _scaling_sign(vec: list[int], n: int, c: int, canon, base=None) -> int:
+    base = canon(vec) if base is None else base
     image = canon(_apply_exponent(vec, n, c))
     if image == base:
         return 1
@@ -368,7 +363,7 @@ _ZETA8 = {"i": (0, 0, 1, 0, 0, 0, 0, 0), "sqrt2": (0, 1, 0, 0, 0, 0, 0, 1)}
 @lru_cache(maxsize=None)
 def _zeta8_sign(name: str, c: int) -> int:
     """Sign by which zeta_8 -> zeta_8**c scales the element ``name``."""
-    return _scaling_sign(list(_ZETA8[name]), 8, c, _canon8)
+    return _scaling_sign(_ZETA8[name], 8, c, _canon8)
 
 
 def oracle_tau_i(f: GaloisElement) -> int:
@@ -380,19 +375,20 @@ def oracle_tau_sqrt2(f: GaloisElement) -> int:
 
 
 @lru_cache(maxsize=None)
+def _gauss_sum(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The quadratic Gauss sum at the odd prime q, the sum of (a/q) zeta_q**a,
+    read from the squares mod q, and its canonical form."""
+    squares = {a * a % q for a in range(1, q)}
+    vec = (0,) + tuple(1 if a in squares else -1 for a in range(1, q))
+    return vec, _canon_prime(vec)
+
+
+@lru_cache(maxsize=None)
 def _gauss_sign(q: int, c: int) -> int:
     """Sign by which zeta_q -> zeta_q**c scales the quadratic Gauss sum at
     the odd prime q."""
-    vec = [0] * q
-    for a in range(1, q):
-        vec[a] = _legendre_euler(a, q)
-    return _scaling_sign(vec, q, c, lambda v: _canon_prime(v, q))
-
-
-def _oracle_tau_gauss(q: int, f: GaloisElement) -> int:
-    """Sign by which f scales the quadratic Gauss sum at the odd prime q: f
-    acts on Z[zeta_q] only through the exponent it induces there."""
-    return _gauss_sign(q, f.s % q if q == f.p else pow(f.p, f.e, q))
+    vec, base = _gauss_sum(q)
+    return _scaling_sign(vec, q, c, _canon_prime, base)
 
 
 def oracle_tau_sqrt(m: int, f: GaloisElement) -> int:
@@ -407,15 +403,24 @@ def oracle_tau_sqrt(m: int, f: GaloisElement) -> int:
         raise ValueError(f"m must be a positive integer, got {m}")
     if m > ORACLE_MAX_M:
         raise ValueError(f"m = {m} exceeds the oracle bound {ORACLE_MAX_M}")
+    return _oracle_sign(_odd_primes(m), f)
+
+
+def _odd_primes(m: int) -> tuple[int, ...]:
+    """The primes dividing m to an odd power."""
+    return tuple(q for q, k in _factorize(m).items() if k % 2)
+
+
+def _oracle_sign(primes: Iterable[int], f: GaloisElement) -> int:
+    """Sign by which f scales the square root of the product of primes."""
     sign = 1
-    for q, k in _factorize(m).items():
-        if k % 2 == 0:
-            continue
+    for q in primes:
         if q == 2:
             sign *= oracle_tau_sqrt2(f)
         else:
-            # sqrt(q) = (unit) * i^{-[q = 3 mod 4]} * GaussSum(q)
-            sign *= _oracle_tau_gauss(q, f)
+            # sqrt(q) = (unit) * i^{-[q = 3 mod 4]} * GaussSum(q), and f acts
+            # on Z[zeta_q] through the exponent it induces there
+            sign *= _gauss_sign(q, f.s % q if q == f.p else pow(f.p, f.e, q))
             if q % 4 == 3:
                 sign *= oracle_tau_i(f)
     return sign

@@ -366,7 +366,7 @@ def test_verify_rejects_unknown_suite(monkeypatch):
     def oracle_called(*_args):
         raise AssertionError("the oracle bound is checked before the sweep")
 
-    monkeypatch.setattr(blocks, "oracle_tau_sqrt", oracle_called)
+    monkeypatch.setattr(blocks, "_oracle_sign", oracle_called)
     with pytest.raises(ValueError, match="tau_oracle"):
         verify("tau_oracle", 3, 2_000_000)
 
@@ -405,8 +405,9 @@ def _heights_up(found):
 
 
 def _flip_oracle_at(m_bad):
-    real = blocks.oracle_tau_sqrt
-    return "oracle_tau_sqrt", lambda m, *args: (-1 if m == m_bad else 1) * real(m, *args)
+    """The oracle sign negated wherever m has the odd primes of m_bad."""
+    real, bad = blocks._oracle_sign, blocks._odd_primes(m_bad)
+    return "_oracle_sign", lambda primes, f: (-1 if primes == bad else 1) * real(primes, f)
 
 
 def _negated_where(name, where):

@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -141,8 +143,9 @@ def test_oracle_agreement_sample():
 
 def test_oracle_is_independent_of_closed_forms_and_call_order(monkeypatch):
     """The oracle agrees with the closed forms, and gives the same signs again
-    with every galois memo cleared, the closed forms unavailable and the
-    questions asked in reverse order."""
+    with every galois memo cleared, the closed forms and their sign-class
+    helpers unavailable and the questions asked in reverse order, through
+    oracle_tau_sqrt and through _oracle_sign(_odd_primes(m), f) alike."""
     questions = [
         (m, GaloisElement(p, e, s))
         for p in (3, 5, 7, 11, 13)
@@ -153,17 +156,52 @@ def test_oracle_is_independent_of_closed_forms_and_call_order(monkeypatch):
     forward = [oracle_tau_sqrt(m, f) for m, f in questions]
     assert forward == [tau_sqrt(m, f) for m, f in questions]
 
-    for obj in vars(galois).values():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
-
     def closed_form(*_args):
         raise AssertionError("the oracle must not use the closed forms")
 
-    for name in ("jacobi", "tau_sqrt", "tau_i", "tau_sqrt2"):
+    for name in ("jacobi", "tau_sqrt", "tau_i", "tau_sqrt2", "_legendre", "_sign_class",
+                 "_tau_partition_cached"):
         monkeypatch.setattr(galois, name, closed_form)
-    backward = [oracle_tau_sqrt(m, f) for m, f in reversed(questions)]
-    assert backward[::-1] == forward
+    for ask in (oracle_tau_sqrt, lambda m, f: galois._oracle_sign(galois._odd_primes(m), f)):
+        for obj in vars(galois).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+        backward = [ask(m, f) for m, f in reversed(questions)]
+        assert backward[::-1] == forward
+
+
+def test_the_oracle_section_names_no_closed_form():
+    """No function of the oracle section of galois.py names the Jacobi
+    symbol, the sign-class helpers or a tau_* closed form."""
+    source = Path(galois.__file__).read_text()
+    start = source.splitlines().index("# exact cyclotomic oracle") + 1
+    functions = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.lineno > start
+    ]
+    assert {"_gauss_sum", "_gauss_sign", "_odd_primes", "_oracle_sign"} <= {f.name for f in functions}
+    forbidden = {"jacobi", "_legendre", "_sign_class", "_tau_partition_cached"}
+    for function in functions:
+        for node in ast.walk(function):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert name not in forbidden and not str(name).startswith("tau_"), (function.name, name)
+
+
+def test_gauss_sums_are_built_from_the_squares_mod_q():
+    """For every odd prime q < 2000 the Gauss-sum vector holds Euler's
+    criterion a**((q-1)/2) mod q at each exponent a > 0, and its canonical
+    form is that vector reduced mod Phi_q = 1 + x + ... + x^(q-1)."""
+    galois._gauss_sum.cache_clear()
+    for q in range(3, 2000, 2):
+        if any(q % d == 0 for d in range(3, int(q**0.5) + 1, 2)):
+            continue
+        euler = [0] + [1 if pow(a, (q - 1) // 2, q) == 1 else -1 for a in range(1, q)]
+        reduced = [v - euler[q - 1] for v in euler]  # minus the top coefficient times Phi_q
+        assert reduced[q - 1] == 0
+        vec, canon = galois._gauss_sum(q)
+        assert list(vec) == euler, q
+        assert list(canon) == reduced[: q - 1], q
+    galois._gauss_sum.cache_clear()
 
 
 def test_prime_check_matches_trial_division():

@@ -36,6 +36,7 @@ MEMOS = {
     ),
     "galois._zeta8_sign": (None, "per oracle field and exponent: i or sqrt(2), and c mod 8"),
     "galois._gauss_sign": (None, "per oracle field and exponent: q and c mod q"),
+    "galois._gauss_sum": (None, "per oracle field: q"),
     "littlewood._normalized": (2048, "per runner"),
     "littlewood._core": (None, "per core: layout, characteristic vector and modulus"),
     "littlewood._placed": (2048, "per placed component: parts and charnum"),
