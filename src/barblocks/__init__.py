@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 _NAMES_BY_MODULE = {
     "abacus": ("BarAbacus", "FencedRunner", "TwistedBarAbacus", "render"),
     "blocks": (
-        "LabelMap", "NonSpinBlockId", "SpinBlockId", "VerificationReport", "equivariance_check",
-        "nonspin_block_members", "nonspin_psi", "phi_map", "psi", "spin_block_members", "verify",
+        "LabelMap", "NonSpinBlockId", "SpinBlockId", "equivariance_check", "nonspin_block_members",
+        "nonspin_psi", "phi_map", "psi", "spin_block_members",
     ),
     "characters": (
         "ATILDE", "STILDE", "CharLabel", "bar_hook_lengths", "classify", "degree_valuation",
@@ -33,6 +33,7 @@ _NAMES_BY_MODULE = {
         "ordinary_decompose", "ordinary_reconstruct", "paired_parts", "selfconjugate_paired_hooks",
     ),
     "partitions": ("BarPartition", "FrobeniusSymbol", "Partition", "enumerate_partitions"),
+    "suites": ("VerificationReport", "verify"),
 }
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in _NAMES_BY_MODULE.items() for name in names}

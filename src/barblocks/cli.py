@@ -15,9 +15,10 @@ from .partitions import BarPartition, Partition
 
 # Each command imports the library modules it uses when it runs, so that a
 # process loads and compiles only those: decompose and pairs need littlewood,
-# abacus needs abacus, tau needs galois, and blocks and verify need the rest.
+# abacus needs abacus, tau needs galois, blocks needs the block library, and
+# verify needs suites, which loads the modules of the suite that runs.
 # The parser itself needs the suite and group names; these are copies of
-# sorted(blocks.SUITES) and of (STILDE, ATILDE, G, GPLUS), which
+# sorted(suites.SUITES) and of (STILDE, ATILDE, G, GPLUS), which
 # tests/test_cli.py pins equal to the library's.
 _SUITES = (
     "blocks", "census", "crossing", "crossing_fails", "durfee", "lengths", "little", "pairing",
@@ -175,7 +176,7 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .blocks import verify
+    from .suites import verify
 
     report = verify(args.suite, args.p, args.max_n, w_max=args.max_w)
     if args.json:

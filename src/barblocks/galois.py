@@ -144,7 +144,6 @@ class GaloisElement(_Record):
         return GaloisElement(self.p, self.e + other.e, (self.s * other.s) % self.p)
 
 
-@lru_cache(maxsize=None)
 def standard_generators(p: int) -> tuple[GaloisElement, ...]:
     """sigma_p together with every automorphism trivial on p'-roots."""
     return (GaloisElement.sigma(p),) + tuple(

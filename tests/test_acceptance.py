@@ -8,7 +8,7 @@ Each test is one criterion; the bounds are fixed here, not configurable.
 
 import time
 
-from barblocks.blocks import verify
+from barblocks import verify
 
 
 def _expect_clean(report, tag):

@@ -7,13 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from barblocks import blocks
+from barblocks import blocks, galois, humphreys, littlewood, partitions, suites
 from barblocks.abacus import BarAbacus
 from barblocks.blocks import (
     LabelMap,
     NonSpinBlockId,
     SpinBlockId,
-    VerificationReport,
     _blocks_of,
     bar_cores,
     equivariance_check,
@@ -23,7 +22,6 @@ from barblocks.blocks import (
     psi,
     selfconjugate_cores,
     spin_block_members,
-    verify,
 )
 from barblocks.characters import (
     ATILDE,
@@ -40,6 +38,7 @@ from barblocks.galois import GaloisElement, standard_generators, tau_partition, 
 from barblocks.humphreys import G, GPLUS, GBlockId, GCharLabel, block_members, classify_g, cocores
 from barblocks.littlewood import bar_decompose, bar_reconstruct, ordinary_decompose, ordinary_reconstruct
 from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition, enumerate_partitions
+from barblocks.suites import VerificationReport, verify
 
 from oracles import bar_core_by_removal, p_core_by_hook_removal
 
@@ -215,7 +214,7 @@ def test_equivariance_by_sign_class_keeps_the_per_f_report(p, bound, w_max, monk
     order of fs also when fs mixes the classes, and so does crossing_fails."""
     fs = [GaloisElement(p, e, s) for e in (3, 0, 2, 1) for s in reversed(range(1, p))]
     checked = 0
-    pairs = blocks._core_pairs(bound, p, w_max, blocks._reversed_crossing, (STILDE,))
+    pairs = suites._core_pairs(bound, p, w_max, suites._reversed_crossing, (STILDE,))
     for k1, k2, w, group in pairs:
         lmap = psi(SpinBlockId(k1, w, group, p), k2, allow_reversed=True)
         report = equivariance_check(lmap, fs)
@@ -366,14 +365,14 @@ def test_verify_rejects_unknown_suite(monkeypatch):
     def oracle_called(*_args):
         raise AssertionError("the oracle bound is checked before the sweep")
 
-    monkeypatch.setattr(blocks, "_oracle_sign", oracle_called)
+    monkeypatch.setattr(galois, "_oracle_sign", oracle_called)
     with pytest.raises(ValueError, match="tau_oracle"):
         verify("tau_oracle", 3, 2_000_000)
 
 
-def _doctored(name, make):
-    real = getattr(blocks, name)
-    return name, lambda *args: make(real(*args))
+def _doctored(module, name, make):
+    real = getattr(module, name)
+    return module, name, lambda *args: make(real(*args))
 
 
 def _shift_d(dec):
@@ -393,7 +392,7 @@ def _doctored_at(n_bad, make):
         found = real(members, n, p)
         return make(found) if n == n_bad else found
 
-    return "height_and_defect", doctor
+    return blocks, "height_and_defect", doctor
 
 
 def _defect_up(found):
@@ -406,14 +405,14 @@ def _heights_up(found):
 
 def _flip_oracle_at(m_bad):
     """The oracle sign negated wherever m has the odd primes of m_bad."""
-    real, bad = blocks._oracle_sign, blocks._odd_primes(m_bad)
-    return "_oracle_sign", lambda primes, f: (-1 if primes == bad else 1) * real(primes, f)
+    real, bad = galois._oracle_sign, galois._odd_primes(m_bad)
+    return galois, "_oracle_sign", lambda primes, f: (-1 if primes == bad else 1) * real(primes, f)
 
 
-def _negated_where(name, where):
+def _negated_where(module, name, where):
     """The library function negated on the arguments where holds."""
-    real = getattr(blocks, name)
-    return name, lambda *args: -real(*args) if where(*args) else real(*args)
+    real = getattr(module, name)
+    return module, name, lambda *args: -real(*args) if where(*args) else real(*args)
 
 
 def _other_variant(glabel):
@@ -434,14 +433,17 @@ class _EmptyFrobenius(BarPartition):
         return FrobeniusSymbol((), ())
 
 
+_FROM_PARTITION = BarAbacus.from_partition
+
+
 def _abacus_of_another(lam, p):
     """The abacus of lam plus a part 1000."""
-    return BarAbacus.from_partition(_extra_part(BarPartition)(lam), p)
+    return _FROM_PARTITION(_extra_part(BarPartition)(lam), p)
 
 
 def _twisting_another(lam, p):
     """The abacus of lam, except that its twist is that of lam plus a part 1000."""
-    ab = BarAbacus.from_partition(lam, p)
+    ab = _FROM_PARTITION(lam, p)
     return SimpleNamespace(to_partition=ab.to_partition, twist=_abacus_of_another(lam, p).twist)
 
 
@@ -453,42 +455,43 @@ def _crossed(pairs):
 _SIGMA_3, _TRIVIAL_3 = GaloisElement.sigma(3), GaloisElement(3, 0, 2)
 _SPIN_EMPTY = {"partition": [], "flavor": "spin"}
 
-# Each suite sees a doctored library function through the name it calls;
-# a suite that held the function itself would not see the change.  The
-# rows of roundtrips' abacus and twist reasons replace BarAbacus by a
-# stand-in with the one method the suite calls.
+# Each doctor replaces a library function in the module its caller reads it
+# from: the defining module for the calls of suites.py, blocks for those of
+# the block library.  A suite that held the function itself would not see
+# the change.  The rows of roundtrips' abacus and twist reasons replace
+# BarAbacus.from_partition, so that the abacus module keeps its own class.
 WITNESS_CASES = [
     (
-        "lengths", 3, _doctored("bar_decompose", _shift_d),
+        "lengths", 3, _doctored(littlewood, "bar_decompose", _shift_d),
         {"lambda": [], "length": 0, "core_length": 0, "cocore_length": 0, "d": 1},
     ),
     (
         "signs", 3,
-        _doctored("bar_decompose", lambda dec: dec._replace(cocore=BarPartition([2]))),
+        _doctored(littlewood, "bar_decompose", lambda dec: dec._replace(cocore=BarPartition([2]))),
         {"lambda": [], "sign": 1, "core_sign": 1, "cocore_sign": -1},
     ),
     (
         "sizes", 3,
-        _doctored("bar_decompose", lambda dec: dec._replace(weight=dec.weight + 1)),
+        _doctored(littlewood, "bar_decompose", lambda dec: dec._replace(weight=dec.weight + 1)),
         {"lambda": [], "size": 0, "core_size": 0, "weight": 1},
     ),
     (
-        "durfee", 3, _doctored("ordinary_decompose", _shift_d),
+        "durfee", 3, _doctored(littlewood, "ordinary_decompose", _shift_d),
         {"lambda": [], "durfee": 0, "core_durfee": 0, "cocore_durfee": 0, "d": 1},
     ),
     (
-        "roundtrips", 3, _doctored("bar_reconstruct", _extra_part(BarPartition)),
+        "roundtrips", 3, _doctored(littlewood, "bar_reconstruct", _extra_part(BarPartition)),
         {"lambda": [], "reason": "decompose round trip"},
     ),
     (
-        "psi", 4, _doctored("_rebuilt", _extra_part(BarPartition)),
+        "psi", 4, _doctored(blocks, "_rebuilt", _extra_part(BarPartition)),
         {
             "kappa": [], "kappa2": [1], "w": 1, "group": "stilde",
             "reason": "not a bijection onto the target block",
         },
     ),
     (
-        "psi_nonspin", 5, _doctored("_rebuilt", _extra_part(Partition)),
+        "psi_nonspin", 5, _doctored(blocks, "_rebuilt", _extra_part(Partition)),
         {"kappa": [], "kappa2": [1], "w": 1, "reason": "not a bijection onto the target block"},
     ),
     (
@@ -496,63 +499,65 @@ WITNESS_CASES = [
         {"m": 2, "f": {"p": 3, "e": 0, "s": 1}, "closed": 1, "oracle": -1},
     ),
     (
-        "blocks", 4, _doctored("g_height_and_defect", lambda dh: (dh[0] + 1, dh[1])),
+        "blocks", 4, _doctored(blocks, "g_height_and_defect", lambda dh: (dh[0] + 1, dh[1])),
         {"kappa": [], "w": 1, "group": "stilde", "defect": 1, "image_defect": 2},
     ),
     (
         "roundtrips", 3,
-        _doctored("strict_partitions_of", lambda lams: tuple(map(_EmptyFrobenius, lams))),
+        _doctored(partitions, "enumerate_partitions", lambda lams: tuple(map(_EmptyFrobenius, lams))),
         {"lambda": [1], "reason": "frobenius round trip"},
     ),
     (
-        "roundtrips", 3, ("BarAbacus", SimpleNamespace(from_partition=_abacus_of_another)),
+        "roundtrips", 3, (BarAbacus, "from_partition", staticmethod(_abacus_of_another)),
         {"lambda": [], "reason": "abacus round trip"},
     ),
     (
-        "roundtrips", 3, ("BarAbacus", SimpleNamespace(from_partition=_twisting_another)),
+        "roundtrips", 3, (BarAbacus, "from_partition", staticmethod(_twisting_another)),
         {"lambda": [], "reason": "twist round trip"},
     ),
     (
-        "census", 4, _doctored("block_members", lambda members: members[1:]),
+        "census", 4, _doctored(humphreys, "block_members", lambda members: members[1:]),
         {"kappa": [], "group": "g", "count": 2, "expected": 3},
     ),
     (
-        "phi", 4, _doctored("phi", _other_variant),
+        "phi", 4, _doctored(humphreys, "phi", _other_variant),
         {"label": {**_SPIN_EMPTY, "group": "atilde", "variant": "plus"}, "reason": "variant"},
     ),
     (
-        "phi", 4, _doctored("phi_inverse", _other_group),
+        "phi", 4, _doctored(humphreys, "phi_inverse", _other_group),
         {"label": {**_SPIN_EMPTY, "group": "stilde", "variant": "whole"}, "reason": "inverse"},
     ),
     (
-        "phi", 4, _doctored("tau_g", operator.neg),
+        "phi", 4, _doctored(humphreys, "tau_g", operator.neg),
         {
             "label": {**_SPIN_EMPTY, "group": "atilde", "variant": "plus"},
             "f": {"p": 3, "e": 1, "s": 1}, "reason": "tau",
         },
     ),
     (
-        "valuation", 4, _doctored("g_degree_valuation", lambda v: v + 1),
+        "valuation", 4, _doctored(humphreys, "g_degree_valuation", lambda v: v + 1),
         {"lambda": [], "valuation": 0, "image_valuation": 1, "cocore_valuation": 0},
     ),
     (
-        "tau_nonspin", 4, _negated_where("tau_selfconjugate", lambda lam, f: lam.size == 1),
+        "tau_nonspin", 4, _negated_where(galois, "tau_selfconjugate", lambda lam, f: lam.size == 1),
         {"lambda": [2, 2], "f": {"p": 3, "e": 1, "s": 1}, "tau": 1, "product": -1},
     ),
     (
-        "pairing", 4, _doctored("paired_parts", lambda pairs: pairs + ((1, 2),)),
+        "pairing", 4, _doctored(littlewood, "paired_parts", lambda pairs: pairs + ((1, 2),)),
         {"lambda": [], "pairs": [[1, 2]], "reason": "cover"},
     ),
     (
-        "pairing", 12, _doctored("paired_parts", _crossed),
+        "pairing", 12, _doctored(littlewood, "paired_parts", _crossed),
         {"lambda": [5, 4, 2, 1], "pair": [1, 4], "reason": "sum"},
     ),
     (
-        "little", 4, _negated_where("tau_partition", lambda lam, f: (lam.parts, f) == ((1,), _SIGMA_3)),
+        "little", 4,
+        _negated_where(galois, "tau_partition", lambda lam, f: (lam.parts, f) == ((1,), _SIGMA_3)),
         {"lambda": [4], "case": "i", "tau": -1, "tau_core": -1, "tau_cocore": -1},
     ),
     (
-        "little", 4, _negated_where("tau_partition", lambda lam, f: (lam.parts, f) == ((1,), _TRIVIAL_3)),
+        "little", 4,
+        _negated_where(galois, "tau_partition", lambda lam, f: (lam.parts, f) == ((1,), _TRIVIAL_3)),
         {"lambda": [4], "case": "iii", "f": {"p": 3, "e": 0, "s": 2}},
     ),
 ]
@@ -578,11 +583,11 @@ _NONSPIN_21 = {"partition": [2, 1], "group": "atilde", "flavor": "nonspin", "var
 # At p = 3 the first map of psi and psi_nonspin goes from degree 3 to degree 4.
 MAP_WITNESS_CASES = {
     "blocks-bijection": (
-        "blocks", 4, _doctored("block_members", lambda members: members[1:]),
+        "blocks", 4, _doctored(blocks, "block_members", lambda members: members[1:]),
         {"kappa": [], "w": 1, "group": "stilde", "reason": "not a bijection onto the target block"},
     ),
     "blocks-height": (
-        "blocks", 4, _doctored("g_height_and_defect", _heights_up),
+        "blocks", 4, _doctored(blocks, "g_height_and_defect", _heights_up),
         {
             "kappa": [], "w": 1, "group": "stilde", "label": _SPIN_21,
             "image": {"mu": [], "nu": [2, 1], "group": "g", "variant": "plus"},
@@ -616,7 +621,7 @@ MAP_WITNESS_CASES = {
     "psi_nonspin-equivariance": (
         "psi_nonspin", 5,
         _negated_where(
-            "label_tau", lambda label, f: (label.flavor, label.partition.parts) == (NONSPIN, (2, 2))
+            blocks, "label_tau", lambda label, f: (label.flavor, label.partition.parts) == (NONSPIN, (2, 2))
         ),
         {
             "label": _NONSPIN_21, "image": {**_NONSPIN_21, "partition": [2, 2]},
@@ -633,7 +638,7 @@ MAP_WITNESS_CASES = {
     ids=_case_ids(WITNESS_CASES) + list(MAP_WITNESS_CASES),
 )
 def test_failing_suites_report_exact_witness(monkeypatch, suite, bound, doctor, witness):
-    monkeypatch.setattr(blocks, *doctor)
+    monkeypatch.setattr(*doctor)
     report = verify(suite, 3, bound, w_max=1)
     first = report.violations[0]
     assert first == witness
@@ -649,7 +654,7 @@ def test_blocks_reports_a_defect_that_varies_with_the_core(monkeypatch):
         found = real_g(members, p)
         return _defect_up(found) if members[0].mu.size + members[0].nu.size == 4 else found
 
-    monkeypatch.setattr(blocks, *_doctored_at(4, _defect_up))
+    monkeypatch.setattr(*_doctored_at(4, _defect_up))
     monkeypatch.setattr(blocks, "g_height_and_defect", g_doctor)
     report = verify("blocks", 3, 4, w_max=1)
     assert report.violations[0] == {

@@ -17,7 +17,6 @@ from barblocks.blocks import (
     nonspin_psi,
     psi,
     spin_block_members,
-    verify,
 )
 from barblocks.characters import (
     CharLabel,
@@ -52,6 +51,7 @@ from barblocks.littlewood import (
     selfconjugate_paired_hooks,
 )
 from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition, enumerate_partitions
+from barblocks.suites import verify
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "barblocks").glob("*.py"))
 

@@ -126,9 +126,10 @@ def test_verify_exit_codes(capsys):
 
 def test_json_output_matches_the_library(capsys):
     from barblocks.abacus import BarAbacus
-    from barblocks.blocks import SpinBlockId, spin_block_members, verify
+    from barblocks.blocks import SpinBlockId, spin_block_members
     from barblocks.littlewood import bar_decompose
     from barblocks.partitions import BarPartition
+    from barblocks.suites import verify
 
     lam = BarPartition([14, 12, 8, 6, 3, 2])
     _, out, _ = run(capsys, "decompose", "--p", "5", "--json", "14,12,8,6,3,2")
@@ -318,13 +319,13 @@ def test_extreme_arguments_are_refused_fast(capsys, argv):
 
 
 def test_parser_choices_equal_the_library_names():
-    from barblocks import cli
-    from barblocks.blocks import SUITES
+    from barblocks import cli, suites
     from barblocks.characters import ATILDE, STILDE
     from barblocks.humphreys import G, GPLUS
 
-    assert cli._SUITES == tuple(sorted(SUITES))
+    assert cli._SUITES == tuple(sorted(suites.SUITES))
     assert cli._GROUPS == (STILDE, ATILDE, G, GPLUS)
+    assert (suites._STILDE, suites._ATILDE) == (STILDE, ATILDE)
 
 
 # sha256 of the help texts at 80 columns, as printed before the command
@@ -345,8 +346,11 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
-ALL_MODULES = {"abacus", "blocks", "characters", "cli", "galois", "humphreys", "littlewood", "partitions"}
+ALL_MODULES = {
+    "abacus", "blocks", "characters", "cli", "galois", "humphreys", "littlewood", "partitions", "suites",
+}
 LIGHT = {"cli", "partitions"}
+SIGNS = LIGHT | {"galois", "littlewood", "suites"}
 MODULE_BUDGETS = {
     ("decompose", "--p", "5", "14,12,8,6,3,2"): LIGHT | {"littlewood"},
     ("decompose", "--p", "3", "--nonspin", "2,2"): LIGHT | {"littlewood"},
@@ -355,9 +359,14 @@ MODULE_BUDGETS = {
     ("abacus", "--p", "3", "--twisted", "5,3,2,1"): LIGHT | {"abacus"},
     ("tau", "--p", "3", "2,1"): LIGHT | {"galois"},
     ("tau", "--p", "3", "--nonspin", "2,1"): LIGHT | {"galois"},
-    ("blocks", "--p", "3", "--n", "4", "--group", "stilde"): ALL_MODULES,
-    ("blocks", "--p", "3", "--n", "4", "--group", "g"): ALL_MODULES,
-    ("verify", "little", "--p", "3", "--max-n", "5"): ALL_MODULES,
+    ("blocks", "--p", "3", "--n", "4", "--group", "stilde"): ALL_MODULES - {"abacus", "suites"},
+    ("blocks", "--p", "3", "--n", "4", "--group", "g"): ALL_MODULES - {"abacus", "suites"},
+    ("verify", "little", "--p", "3", "--max-n", "5"): SIGNS,
+    ("verify", "tau_oracle", "--p", "3", "--max-n", "5"): LIGHT | {"galois", "suites"},
+    ("verify", "signs", "--p", "3", "--max-n", "5"): SIGNS,
+    ("verify", "roundtrips", "--p", "3", "--max-n", "5"): SIGNS | {"abacus"},
+    ("verify", "phi", "--p", "3", "--max-n", "5"): SIGNS | {"characters", "humphreys"},
+    ("verify", "psi", "--p", "3", "--max-n", "5"): ALL_MODULES - {"abacus"},
 }
 
 

@@ -13,6 +13,7 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "barblocks").
 # module.name -> why it stays although no code in src/barblocks reads it
 ALLOWED = {
     "blocks.partitions_of": "bench/tracer.py GROUPS traces it; it goes together with that entry",
+    "blocks.strict_partitions_of": "bench/tracer.py GROUPS traces it; it goes together with that entry",
     "characters.nonspin_degree_valuation": (
         "bench/tracer.py GROUPS traces it, and the Macdonald count test reads it"
     ),
@@ -43,7 +44,14 @@ def _definitions(tree: ast.Module):
 
 def _reads(module: str, tree: ast.Module):
     """((module, name), statement) for each name a module-level statement
-    reads: a loaded name of this module, or a name imported from a sibling."""
+    reads: a loaded name of this module, a name imported from a sibling, or
+    an attribute of a sibling imported as a module (``from . import x``)."""
+    siblings = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+        for alias in node.names
+    }
     for statement in tree.body:
         for node in ast.walk(statement):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -51,6 +59,12 @@ def _reads(module: str, tree: ast.Module):
             elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 for alias in node.names:
                     yield (node.module, alias.name), statement
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+            ):
+                yield (siblings[node.value.id], node.attr), statement
 
 
 def _unread(trees: dict[str, ast.Module], public=(), allowed=()) -> list[str]:
@@ -107,6 +121,15 @@ def test_a_definition_left_behind_is_found():
     }
     unread = ["a.unused (line 6)", "a.recursive (line 9)"]
     assert _unread(trees, public=("Public", "VALUE")) == unread
+
+
+def test_an_attribute_of_a_sibling_module_is_a_read():
+    trees = {
+        "a": ast.parse("def read():\n    pass\n\ndef unread():\n    pass\n"),
+        "b": ast.parse("def run():\n    from . import a\n\n    return a.read()\n"),
+        "c": ast.parse("import a\n\ndef run():\n    return a.unread()\n"),
+    }
+    assert _unread(trees, public=("run",)) == ["a.unread (line 4)"]
 
 
 def _json_writers(trees: dict[str, ast.Module]) -> list[str]:

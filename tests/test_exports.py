@@ -1,4 +1,5 @@
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import import_module
@@ -11,8 +12,8 @@ import barblocks
 # the public names of the package, as its eager imports bound them
 PUBLIC = {
     "abacus": "BarAbacus FencedRunner TwistedBarAbacus render",
-    "blocks": "LabelMap NonSpinBlockId SpinBlockId VerificationReport equivariance_check "
-    "nonspin_block_members nonspin_psi phi_map psi spin_block_members verify",
+    "blocks": "LabelMap NonSpinBlockId SpinBlockId equivariance_check nonspin_block_members "
+    "nonspin_psi phi_map psi spin_block_members",
     "characters": "ATILDE STILDE CharLabel bar_hook_lengths classify degree_valuation "
     "height_and_defect label_tau",
     "galois": "GaloisElement SurdValue diff_value jacobi oracle_tau_sqrt standard_generators tau_i "
@@ -22,6 +23,7 @@ PUBLIC = {
     "littlewood": "BarLittlewood OrdinaryLittlewood bar_decompose bar_reconstruct ordinary_decompose "
     "ordinary_reconstruct paired_parts selfconjugate_paired_hooks",
     "partitions": "BarPartition FrobeniusSymbol Partition enumerate_partitions",
+    "suites": "VerificationReport verify",
 }
 
 
@@ -56,7 +58,19 @@ def test_submodules_stay_reachable_as_attributes():
     from barblocks import littlewood
 
     assert barblocks.littlewood is littlewood
-    assert barblocks.blocks.verify is barblocks.verify
+    assert barblocks.suites.verify is barblocks.verify
+
+
+def test_no_submodule_shadows_a_public_name():
+    """Importing a submodule binds it as an attribute of the package, so a
+    submodule named like a public name (a verify.py) would replace that name
+    once anything imports it."""
+    for info in pkgutil.iter_modules(barblocks.__path__):
+        import_module(f"barblocks.{info.name}")
+    assert barblocks.verify is barblocks.suites.verify
+    for name, module in barblocks._EXPORTS.items():
+        assert getattr(barblocks, name) is getattr(import_module(f"barblocks.{module}"), name), name
+    assert set(barblocks._NAMES_BY_MODULE) & set(barblocks._EXPORTS) == set()
 
 
 def test_importing_the_package_loads_no_submodule():

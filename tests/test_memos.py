@@ -14,8 +14,11 @@ import importlib
 import tracemalloc
 from pathlib import Path
 
-from barblocks.blocks import verify
-from barblocks.galois import _is_odd_prime, standard_generators
+import pytest
+
+from barblocks import galois
+from barblocks.galois import _is_odd_prime
+from barblocks.suites import verify
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "barblocks").glob("*.py"))
 MODULES = [path.stem for path in SOURCES if path.stem != "__init__"]
@@ -24,10 +27,8 @@ MODULES = [path.stem for path in SOURCES if path.stem != "__init__"]
 MEMOS = {
     "blocks.spin_block_members": (None, "per spin block"),
     "blocks.nonspin_block_members": (None, "per non-spin block"),
-    "blocks._block_heights": (None, "per block of any kind, cleared when each verify run starts"),
     "characters._valuation": (4096, "per label: parts, p and spin or not"),
     "galois._is_odd_prime": (None, "per prime"),
-    "galois.standard_generators": (None, "per prime"),
     "galois._legendre": (None, "per prime and residue s mod p"),
     "galois._tau_partition_cached": (
         8192,
@@ -42,6 +43,7 @@ MEMOS = {
     "littlewood._placed": (2048, "per placed component: parts and charnum"),
     "littlewood._decompose": (4096, "per label: layout, parts and modulus"),
     "littlewood._members": (None, "per block: layout, core, modulus and weight"),
+    "suites._block_heights": (None, "per block of any kind, cleared when each verify run starts"),
 }
 
 
@@ -125,6 +127,22 @@ def test_the_prime_is_checked_once_per_sweep():
     """tau_oracle builds 3(p-1) automorphisms at p; the primality of p is
     decided once for all of them."""
     _is_odd_prime.cache_clear()
-    standard_generators.cache_clear()
     assert verify("tau_oracle", 10007, 1).passed
     assert _is_odd_prime.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("suite", ["phi", "tau_nonspin", "psi"])
+def test_the_automorphisms_are_built_once_per_run(suite, monkeypatch):
+    """standard_generators keeps no memo; a suite over automorphisms builds
+    them, and their sign classes, once per run rather than once per case."""
+    calls = []
+    real = galois.standard_generators
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(galois, "standard_generators", counted)
+    report = verify(suite, 5, 10, w_max=2)
+    assert report.passed and report.cases > 1
+    assert calls == [5]

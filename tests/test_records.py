@@ -13,12 +13,13 @@ import pickle
 import pytest
 
 from barblocks.abacus import BarAbacus, FencedRunner
-from barblocks.blocks import LabelMap, NonSpinBlockId, SpinBlockId, VerificationReport
+from barblocks.blocks import LabelMap, NonSpinBlockId, SpinBlockId
 from barblocks.characters import CharLabel
 from barblocks.galois import GaloisElement, SurdValue
 from barblocks.humphreys import GBlockId, GCharLabel
 from barblocks.littlewood import _BAR, _Layout, bar_decompose, ordinary_decompose
 from barblocks.partitions import BarPartition, FrobeniusSymbol, Partition, _Record
+from barblocks.suites import VerificationReport
 
 
 def _block():
