@@ -24,6 +24,8 @@ Conventions used throughout:
   runner: runner r above the fence, runner t-r color-reversed below it.
 
 The classes validate their input; they are the view for rendering and JSON.
+An abacus built from a validated partition, and the twist and untwist of a
+validated abacus, are built unchecked (``_Record._unchecked``).
 """
 
 from __future__ import annotations
@@ -126,10 +128,13 @@ class BarAbacus(_Record):
     @classmethod
     def from_partition(cls, lam: BarPartition, t: int) -> "BarAbacus":
         t = _odd_modulus(t)
-        runners = [set() for _ in range(t)]
+        slots = {}
         for part in _as(BarPartition, lam).parts:
-            runners[part % t].add(part // t)
-        return cls(t, tuple(frozenset(r) for r in runners))
+            slots.setdefault(part % t, []).append(part // t)
+        runners = [frozenset()] * t
+        for r, xs in slots.items():
+            runners[r] = frozenset(xs)
+        return cls._unchecked(t, tuple(runners))
 
     def to_partition(self) -> BarPartition:
         parts = sorted(
@@ -141,9 +146,9 @@ class BarAbacus(_Record):
     def twist(self) -> "TwistedBarAbacus":
         half = (self.t - 1) // 2
         shifted = tuple(
-            FencedRunner(self.runners[r], self.runners[self.t - r]) for r in range(1, half + 1)
+            FencedRunner._unchecked(self.runners[r], self.runners[self.t - r]) for r in range(1, half + 1)
         )
-        return TwistedBarAbacus(self.t, self.runners[0], shifted)
+        return TwistedBarAbacus._unchecked(self.t, self.runners[0], shifted)
 
 
 class TwistedBarAbacus(_Record):
@@ -170,7 +175,7 @@ class TwistedBarAbacus(_Record):
             r = i + 1
             runners[r] = fr.black_above
             runners[self.t - r] = fr.white_below
-        return BarAbacus(self.t, tuple(runners))
+        return BarAbacus._unchecked(self.t, tuple(runners))
 
     def to_partition(self) -> BarPartition:
         return self.untwist().to_partition()

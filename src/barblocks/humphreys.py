@@ -26,7 +26,7 @@ from .characters import (
     spin_degree_valuation,
 )
 from .galois import GaloisElement, _odd_prime, tau_i, tau_partition
-from .littlewood import _BAR, _checked, _members, bar_decompose, bar_reconstruct
+from .littlewood import _BAR, _checked, _decompose, _members, _rebuilt, bar_decompose
 from .partitions import BarPartition, _as, _Record
 
 G = "g"
@@ -117,10 +117,17 @@ def phi(label: CharLabel, p: int) -> GCharLabel:
 
 
 def phi_inverse(label: GCharLabel, p: int) -> CharLabel:
+    """The spin label whose core is mu and whose quotient is nu's: the
+    quotient of a validated cocore placed on the runners of mu's
+    characteristic vector, with no second check of either."""
     dec = bar_decompose(label.nu, p)
     if dec.core:
         raise ValueError(f"{label.nu!r} is not a {p}-cocore")
-    lam = bar_reconstruct(label.mu, dec.quotient, p)
+    mu, m = _checked(_BAR, label.mu, p)
+    core = _decompose(_BAR, mu, m)
+    if core.weight:
+        raise ValueError(f"{label.mu!r} is not a {m}-core")
+    lam = _rebuilt(_BAR, dec.quotient, core.charvec, m)
     return CharLabel(lam, _GROUP_BACK[label.group], SPIN, label.variant)
 
 

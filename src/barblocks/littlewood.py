@@ -16,10 +16,18 @@ below slot x.
   (below) of the Frobenius symbol, so conjugation is the runner reflection
   j <-> p-1-j.
 
-Each runner is normalized by the shift of minus its charnum, once per
+A decomposition buckets the numbers of a label by residue and visits only
+the runners that hold a bead.  An empty runner has charnum 0 and the empty
+quotient component (the characteristic-vector view of cores: F. Garvan,
+D. Kim and D. Stanton, "Cranks and t-cores", Invent. Math. 101, 1990), so
+it costs nothing beyond its entries in the dense charvec and quotient.  Each
+occupied runner is normalized by the shift of minus its charnum, once per
 distinct runner (``_normalized``, shared by both layouts).  The shifts form
 the characteristic vector, whose reference runners give the core, built once
-per vector (``_core``); the pointed runners give the quotient and the cocore.
+per vector from its nonzero entries (``_core``); the pointed runners give the
+quotient and the cocore, whose numbers are collected in one pass and sorted
+once per list (``_label_parts``: one list for bar, arms and legs for
+ordinary).
 d counts the beads whose numbers vanish when the shifts are reapplied, which
 makes ``length == core.length + cocore.length - 2*d`` exact (for a
 self-conjugate partition, the same identity of Durfee sizes).  The runners
@@ -48,6 +56,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import compress, count
 
 from .partitions import (
     BarPartition, Partition, _as, _frobenius, _from_frobenius, _gen, _odd_modulus, _Record, _shift,
@@ -91,9 +100,11 @@ class OrdinaryLittlewood(_Decomposition):
 # rule on m, for error messages; head: quotient components, and residues, read
 # off directly; width(m): runners at modulus m; counted(m): runners
 # 0..counted-1 count toward d and pair up; numbers(parts) -> the numbers of
-# the above beads and runner 0, then any others of the below beads, and parts
-# its inverse; pair(x): the printed form of a paired number.
-_Layout = namedtuple("_Layout", "record label modulus head width counted numbers parts pair")
+# the above beads and runner 0, then any others of the below beads; folded:
+# the above and below numbers are one sequence; parts(above, below) the
+# inverse of numbers, on descending lists; pair(x): the printed form of a
+# paired number.
+_Layout = namedtuple("_Layout", "record label modulus head width counted numbers folded parts pair")
 
 
 _BAR = _Layout(
@@ -104,9 +115,8 @@ _BAR = _Layout(
     width=lambda t: (t - 1) // 2,
     counted=lambda t: (t - 1) // 2,
     numbers=lambda parts: (parts,),
-    parts=lambda runner0, above, below, t: tuple(
-        sorted([t * k for k in runner0] + above + below, reverse=True)
-    ),
+    folded=True,
+    parts=lambda above, below: tuple(above),
     pair=lambda x: x,
 )
 _ORDINARY = _Layout(
@@ -117,9 +127,12 @@ _ORDINARY = _Layout(
     width=lambda p: p,
     counted=lambda p: (p + 1) // 2,
     numbers=_frobenius,
-    parts=lambda runner0, arms, legs, p: _from_frobenius(arms, legs),
+    folded=False,
+    parts=_from_frobenius,
     pair=lambda x: 2 * x + 1,
 )
+
+_EMPTY = _trusted(Partition, ())  # the quotient component of every empty runner
 
 
 def _checked(layout: _Layout, lam, m: int) -> tuple[tuple[int, ...], int]:
@@ -128,25 +141,42 @@ def _checked(layout: _Layout, lam, m: int) -> tuple[tuple[int, ...], int]:
 
 
 def _runners(layout: _Layout, parts: tuple[int, ...], m: int):
-    """Runner-0 slots and the fenced runners of a label: x at slot x // m of residue x % m."""
-    slots = []
+    """Runner-0 slots and the occupied fenced runners of a label, as
+    {j: (above, below)}: x lies at slot x // m of residue x % m, bucketed by
+    residue, and every other runner is empty."""
+    head, width = layout.head, layout.width(m)
+    residues = []
     for numbers in layout.numbers(parts):
-        residues = [[] for _ in range(m)]
+        slots = {}
         for x in numbers:  # descending numbers give descending slots
-            residues[x % m].append(x // m)
-        slots.append(residues)
-    above, below, head = slots[0], slots[-1], layout.head
-    runners = [(tuple(above[j + head]), tuple(below[m - 1 - j])) for j in range(layout.width(m))]
-    return tuple(above[0]) if head else (), runners
+            slots.setdefault(x % m, []).append(x // m)
+        residues.append(slots)
+    above, below = residues[0], residues[-1]
+    runners = {}
+    for r, xs in above.items():
+        j = r - head
+        if 0 <= j < width:
+            runners[j] = (tuple(xs), tuple(below.get(m - 1 - j, ())))
+    for r, ys in below.items():
+        j = m - 1 - r
+        if j < width and j not in runners:
+            runners[j] = ((), tuple(ys))
+    return tuple(above.get(0, ())) if head else (), runners
 
 
-def _label_parts(layout: _Layout, runner0, runners, m: int) -> tuple[int, ...]:
-    """Inverse of _runners."""
-    above = [m * x + j + layout.head for j, (a, _) in enumerate(runners) for x in a]
-    below = [m * x + m - 1 - j for j, (_, b) in enumerate(runners) for x in b]
+def _label_parts(layout: _Layout, runner0, runners: list, m: int) -> tuple[int, ...]:
+    """Inverse of _runners: the parts of the label with these runner-0 slots
+    and these runners (j, (above, below)), every other runner empty.  Each
+    list of numbers is sorted once."""
+    head = layout.head
+    above = [m * x for x in runner0]
+    above += [m * x + j + head for j, (a, _) in runners for x in a]
+    below = above if layout.folded else []
+    below += [m * y + m - 1 - j for j, (_, b) in runners for y in b]
     above.sort(reverse=True)
-    below.sort(reverse=True)
-    return layout.parts(runner0, above, below, m)
+    if below is not above:
+        below.sort(reverse=True)
+    return layout.parts(above, below)
 
 
 @lru_cache(maxsize=2048)
@@ -163,8 +193,10 @@ def _normalized(runner: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _core(layout: _Layout, charvec: tuple[int, ...], m: int):
-    """The label whose runners are the reference runners of charvec."""
-    return _trusted(layout.label, _label_parts(layout, (), [_shift((), (), c) for c in charvec], m))
+    """The label whose runners are the reference runners of charvec, built
+    from its nonzero entries."""
+    runners = [(j, _shift((), (), charvec[j])) for j in compress(count(), charvec)]
+    return _trusted(layout.label, _label_parts(layout, (), runners, m))
 
 
 @lru_cache(maxsize=2048)
@@ -175,12 +207,22 @@ def _placed(parts: tuple[int, ...], c: int) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _decompose(layout: _Layout, parts: tuple[int, ...], m: int):
+    """The record of a label, from its occupied runners only: an empty runner
+    has charnum 0 and the empty quotient component."""
     runner0, runners = _runners(layout, parts, m)
-    charvec, pointed, quotient, sizes, d = zip(*map(_normalized, runners))
-    quotient = (_trusted(BarPartition, runner0),) * layout.head + quotient
+    width, counted = layout.width(m), layout.counted(m)
+    charvec, quotient, pointed = [0] * width, [_EMPTY] * width, []
+    weight, d = sum(runner0), 0
+    for j, runner in runners.items():
+        c, shifted, component, size, beads = _normalized(runner)
+        charvec[j], quotient[j] = c, component
+        pointed.append((j, shifted))
+        weight += size
+        if j < counted:
+            d += beads
+    charvec = tuple(charvec)
     cocore = _trusted(layout.label, _label_parts(layout, runner0, pointed, m))
-    weight = sum(runner0) + sum(sizes)
-    d = sum(d[: layout.counted(m)])
+    quotient = (_trusted(BarPartition, runner0),) * layout.head + tuple(quotient)
     return layout.record(_core(layout, charvec, m), quotient, charvec, weight, cocore, d)
 
 
@@ -202,7 +244,8 @@ def _rebuilt(layout: _Layout, quotient: tuple, charvec: tuple[int, ...], m: int)
     """The label with this quotient over the core of characteristic vector
     charvec, unchecked: the caller holds a valid quotient and a core's charvec."""
     runner0 = quotient[0].parts if layout.head else ()
-    runners = [_placed(q.parts, c) for c, q in zip(charvec, quotient[layout.head:])]
+    components = enumerate(zip(charvec, quotient[layout.head:]))
+    runners = [(j, _placed(q.parts, c)) for j, (c, q) in components if c or q]
     return _trusted(layout.label, _label_parts(layout, runner0, runners, m))
 
 
@@ -237,9 +280,11 @@ def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
     quotient of total weight w, whose head component is strict."""
     charvec = _decompose(layout, core, m).charvec
     # columns[k][s]: the values component k can take at size s, as runner-0
-    # slots for the head and as shifted runners for the fenced runners
+    # slots for the head and as (j, shifted runner) for the fenced runners
     shapes = [list(_gen(s, s, 0, 1)) for s in range(w + 1)]  # the partitions of size s
-    columns = [[[_placed(parts, c) for parts in shape] for shape in shapes] for c in charvec]
+    columns = [
+        [[(j, _placed(parts, c)) for parts in shape] for shape in shapes] for j, c in enumerate(charvec)
+    ]
     if layout.head:
         columns.insert(0, [list(_gen(s, s, 1, 1)) for s in range(w + 1)])
     # choices[k][left]: the (left after, value) pairs open to component k;
@@ -294,14 +339,14 @@ def _pairs(layout: _Layout, lam, m: int) -> tuple[tuple[int, int], ...]:
     """A label is a cocore when every runner is pointed (its core is empty);
     then each runner pairs its i-th largest above and below numbers."""
     _, runners = _runners(layout, *_checked(layout, lam, m))
-    if any(len(above) != len(below) for above, below in runners):
+    if any(len(above) != len(below) for above, below in runners.values()):
         raise ValueError(f"{lam!r} is not a {m}-cocore")
-    pairs = []
-    for j in range(layout.counted(m)):
-        above, below = runners[j]
-        for x, y in zip(above, below):
-            pairs.append((layout.pair(m * x + j + layout.head), layout.pair(m * y + m - 1 - j)))
-    return tuple(sorted(pairs))
+    pair, counted = layout.pair, layout.counted(m)
+    return tuple(sorted(
+        (pair(m * x + j + layout.head), pair(m * y + m - 1 - j))
+        for j, (above, below) in runners.items() if j < counted
+        for x, y in zip(above, below)
+    ))
 
 
 # ---------------------------------------------------------------------------

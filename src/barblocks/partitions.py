@@ -8,7 +8,9 @@ one read: a list or tuple of parts is the partition it spells, checked where
 it enters.  Parts are read by ``operator.index``, which refuses a float.
 
 A record (``_Record``) lists its fields in ``__slots__``; its ``__init__``
-validates them and sets each once.  Records compare by class and fields, and
+validates them and sets each once.  A record derived from validated records
+is built by ``_Record._unchecked`` instead, and a label derived from
+validated input by ``_trusted``.  Records compare by class and fields, and
 copy, pickle and ``_replace`` go through the constructor, which checks again.
 A record's JSON is its fields by name, in order (``_json``).
 """
@@ -99,7 +101,7 @@ class Partition:
     def frobenius(self) -> "FrobeniusSymbol":
         """Arm/leg coordinates of the diagonal boxes."""
         arms, legs = _frobenius(self.parts)
-        return FrobeniusSymbol(legs=legs, arms=arms)
+        return FrobeniusSymbol._unchecked(legs, arms)
 
     def diagonal_hooks(self) -> tuple[int, ...]:
         """Hook lengths of the diagonal boxes, largest first."""
@@ -185,6 +187,15 @@ class _Record:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """A cls with these fields, unchecked: the one way to build a record
+        derived from validated records (a Frobenius symbol, an abacus or its
+        twist) without its validating constructor."""
+        record = object.__new__(cls)
+        record._set(*values)
+        return record
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -241,7 +252,7 @@ class FrobeniusSymbol(_Record):
         object.__setattr__(self, "arms", distinct_arms)
 
     def to_partition(self) -> Partition:
-        return Partition(_from_frobenius(self.arms, self.legs))
+        return _trusted(Partition, _from_frobenius(self.arms, self.legs))
 
 
 def _frobenius(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -291,16 +302,51 @@ def _shift(above: tuple, below: tuple, c: int) -> tuple[tuple, tuple]:
     )
 
 
+def _room(top: int, gap: int) -> int:
+    """top + (top - gap) + (top - 2*gap) + ..., over the positive terms (top >= 1, gap >= 1)."""
+    k = (top + gap - 1) // gap
+    return k * top - gap * k * (k - 1) // 2
+
+
 def _gen(n: int, max_part: int, gap: int, step: int) -> Iterator[tuple[int, ...]]:
     """Descending part tuples summing to n, parts at most max_part, each part
-    at least gap below the one before; with step 2 every part is odd."""
-    if n == 0:
+    at least gap below the one before; with step 2 every part is odd.  They
+    come lazily in lexicographic descending order, from an explicit stack
+    that holds, per position, the range of parts still to try there.
+
+    A part f is tried only when the parts after it can still fill what is
+    left: with gap 0 any rest can be filled (by ones), and otherwise f needs
+    _room(f, gap) >= left.  That bound is exact for strict partitions, so
+    their walk meets no dead end; for the odd parts of the self-conjugate
+    walk it is necessary only.  The least such f depends on left alone and
+    is found once per left (least)."""
+    if not n:
         yield ()
         return
-    top = min(n, max_part)
-    for first in range(top - (top + 1) % step, 0, -step):
-        for rest in _gen(n - first, first - gap, gap, step):
-            yield (first,) + rest
+    least = {}
+
+    def to_try(left, top):
+        if left not in least:
+            f = 1
+            while gap and _room(f, gap) < left:
+                f += step
+            least[left] = f
+        top = min(left, top)
+        return iter(range(top - (top + 1) % step, least[left] - 1, -step))
+
+    parts, stack = [], [to_try(n, max_part)]
+    while stack:
+        part = next(stack[-1], None)
+        if part is None:
+            stack.pop()
+            if parts:
+                n += parts.pop()
+        elif part == n:
+            yield (*parts, part)
+        else:
+            parts.append(part)
+            n -= part
+            stack.append(to_try(n, part - gap))
 
 
 def _selfconjugate(hooks: tuple[int, ...]) -> Partition:

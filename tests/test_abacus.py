@@ -9,6 +9,14 @@ from barblocks.abacus import (
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
 
 
+def _validated(record):
+    """The record rebuilt through its validating constructor."""
+    if isinstance(record, BarAbacus):
+        return BarAbacus(record.t, record.runners)
+    shifted = tuple(FencedRunner(fr.black_above, fr.white_below) for fr in record.shifted)
+    return TwistedBarAbacus(record.t, record.runner0, shifted)
+
+
 def test_bar_abacus_example_t3():
     ab = BarAbacus.from_partition(BarPartition([5, 3, 2, 1]), 3)
     assert ab.runners == (frozenset({1}), frozenset({0}), frozenset({0, 1}))
@@ -222,3 +230,20 @@ def test_render_goldens():
 def test_render_rejects_other_types():
     with pytest.raises(TypeError):
         render(Partition([2, 1]))
+
+
+@pytest.mark.parametrize("t", [3, 5, 7, 13])
+def test_abaci_built_unchecked_equal_their_validated_rebuild(t):
+    """from_partition, twist and untwist build their records unchecked; each
+    equals the record its validating constructor builds from the same fields,
+    field by field and type by type."""
+    for n in range(21):
+        for lam in enumerate_partitions(n, "strict"):
+            ab = BarAbacus.from_partition(lam, t)
+            twisted = ab.twist()
+            for record in (ab, twisted, twisted.untwist()):
+                rebuilt = _validated(record)
+                assert record == rebuilt
+                assert [type(x) for x in record._key(record)] == [type(x) for x in rebuilt._key(rebuilt)]
+            assert all(type(fr) is FencedRunner for fr in twisted.shifted)
+            assert all(type(slots) is frozenset for slots in ab.runners)

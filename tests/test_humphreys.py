@@ -138,6 +138,17 @@ def test_phi_inverse_rejects_non_cocore():
         phi_inverse(bad, 3)
 
 
+def test_phi_inverse_refuses_before_it_rebuilds():
+    """phi_inverse places nu's quotient on mu's runners unchecked, so it first
+    refuses a nu that is not a p-cocore and then a mu that is not a p-bar core."""
+    with pytest.raises(ValueError, match=r"^BarPartition\(\[1\]\) is not a 3-cocore$"):
+        phi_inverse(GCharLabel(BarPartition([3]), BarPartition([1]), G, "whole"), 3)
+    with pytest.raises(ValueError, match=r"^BarPartition\(\[3\]\) is not a 3-core$"):
+        phi_inverse(GCharLabel(BarPartition([3]), BarPartition([2, 1]), G, "whole"), 3)
+    with pytest.raises(ValueError, match=r"^BarPartition\(\[4, 1\]\) is not a 5-core$"):
+        phi_inverse(GCharLabel(BarPartition([4, 1]), BarPartition(), GPLUS, "whole"), 5)
+
+
 def test_g_degree_valuation():
     kappa = BarPartition([3, 1])  # 5-bar core, no 5-divisible bar hooks
     label = GCharLabel(kappa, BarPartition(), G, "whole")

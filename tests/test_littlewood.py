@@ -3,6 +3,7 @@ import hashlib
 import json
 from itertools import zip_longest
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -17,7 +18,9 @@ from barblocks.littlewood import (
     paired_parts,
     selfconjugate_paired_hooks,
 )
-from barblocks.partitions import BarPartition, Partition, enumerate_partitions
+from barblocks.partitions import (
+    BarPartition, Partition, _frobenius, _from_frobenius, _shift, enumerate_partitions,
+)
 from oracles import bar_core_by_removal, p_core_by_hook_removal
 
 
@@ -353,3 +356,83 @@ def test_the_shared_memos_do_not_depend_on_the_order_of_calls():
     oracle = {bar_decompose: bar_core_by_removal, ordinary_decompose: p_core_by_hook_removal}
     for (f, lam, p), record in forward.items():
         assert record["core"] == oracle[f](lam, p).to_json()
+
+
+def _dense_record(parts, m, bar):
+    """The JSON of a decomposition by the dense kernel the engine had before
+    it visited only the occupied runners: every residue bucketed in a list of
+    m, every runner shifted, every list of numbers sorted on its own.  No
+    memo, so every label is decomposed from scratch."""
+    head, width = (1, (m - 1) // 2) if bar else (0, m)
+    counted = width if bar else (m + 1) // 2
+    slots = []
+    for numbers in (parts,) if bar else _frobenius(parts):
+        residues = [[] for _ in range(m)]
+        for x in numbers:
+            residues[x % m].append(x // m)
+        slots.append(residues)
+    above, below = slots[0], slots[-1]
+    runner0 = tuple(above[0]) if head else ()
+    runners = [(tuple(above[j + head]), tuple(below[m - 1 - j])) for j in range(width)]
+
+    def label(runner0, runners):
+        arms = sorted((m * x + j + head for j, (xs, _) in enumerate(runners) for x in xs), reverse=True)
+        legs = sorted((m * y + m - 1 - j for j, (_, ys) in enumerate(runners) for y in ys), reverse=True)
+        if bar:
+            return sorted([m * k for k in runner0] + arms + legs, reverse=True)
+        return list(_from_frobenius(arms, legs))
+
+    charvec, pointed, quotient, d = [], [], [], 0
+    for j, runner in enumerate(runners):
+        c = len(runner[0]) - len(runner[1])
+        shifted = _shift(*runner, -c)
+        charvec.append(c)
+        pointed.append(shifted)
+        quotient.append(list(_from_frobenius(*shifted)))
+        if j < counted:
+            d += sum(1 for x in shifted[c > 0] if x < abs(c))
+    return {
+        "core": label((), [_shift((), (), c) for c in charvec]),
+        "quotient": [list(runner0)] * head + quotient,
+        "charvec": charvec,
+        "weight": sum(runner0) + sum(map(sum, quotient)),
+        "cocore": label(runner0, pointed),
+        "d": d,
+    }
+
+
+def test_the_dense_reference_reads_the_worked_examples():
+    assert _dense_record((4, 3, 2, 1), 3, True) == bar_decompose(BarPartition([4, 3, 2, 1]), 3).to_json()
+    assert _dense_record((14, 12, 8, 6, 3, 2), 5, True)["quotient"] == [[], [2, 1, 1], [3, 2]]
+    assert _dense_record((4, 1, 1, 1), 3, False)["cocore"] == [3, 2, 1]
+
+
+@pytest.mark.parametrize("t", [3, 5, 7, 13, 101])
+def test_bar_records_equal_the_dense_kernel(t):
+    """The engine visits only the occupied runners; its records are the
+    dense kernel's on all strict |lambda| <= 30."""
+    for lam in strict_upto(30):
+        assert bar_decompose(lam, t).to_json() == _dense_record(lam.parts, t, True), lam
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ordinary_records_equal_the_dense_kernel(p):
+    for lam in all_upto(20):
+        assert ordinary_decompose(lam, p).to_json() == _dense_record(lam.parts, p, False), lam
+
+
+def test_a_decomposition_at_a_large_modulus_touches_the_occupied_runners_only():
+    """At t = 1,000,003 the two parts of [5, 1] occupy two of the 500,001
+    runners; the record is still dense, but the rest costs no work per
+    runner (1.87 s when every runner was visited)."""
+    littlewood._decompose.cache_clear()
+    littlewood._core.cache_clear()
+    start = perf_counter()
+    dec = bar_decompose([5, 1], 1000003)
+    elapsed = perf_counter() - start
+    assert (dec.core, dec.weight, dec.d, dec.cocore) == (BarPartition([5, 1]), 0, 0, BarPartition())
+    assert {j: c for j, c in enumerate(dec.charvec) if c} == {0: 1, 4: 1}
+    assert len(dec.quotient) == 500002 and not any(dec.quotient)
+    assert elapsed < 1, elapsed
+    littlewood._decompose.cache_clear()
+    littlewood._core.cache_clear()

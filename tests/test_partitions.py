@@ -8,6 +8,7 @@ from barblocks.partitions import (
     BarPartition,
     FrobeniusSymbol,
     Partition,
+    _gen,
     enumerate_partitions,
 )
 from oracles import count_odd_part_partitions
@@ -221,3 +222,43 @@ def test_enumerated_and_conjugated_labels_equal_their_validated_rebuild(kind):
         for lam in enumerate_partitions(n, kind):
             for x in (lam, lam.conjugate()):
                 assert type(x)(x.parts) == x
+
+
+def _gen_reference(n, max_part, gap, step):
+    """The plain recursive walk: every first part, then every rest below it."""
+    if n == 0:
+        yield ()
+        return
+    top = min(n, max_part)
+    for first in range(top - (top + 1) % step, 0, -step):
+        for rest in _gen_reference(n - first, first - gap, gap, step):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("gap, step", [(0, 1), (1, 1), (2, 2)])
+def test_pruned_enumeration_equals_the_plain_walk(gap, step):
+    """The iterative, pruned _gen yields the tuples of the recursive walk, in
+    its order, for every n <= 40 and three bounds on the largest part."""
+    for n in range(41):
+        for max_part in sorted({n, n // 2, 3}):
+            want = list(_gen_reference(n, max_part, gap, step))
+            assert list(_gen(n, max_part, gap, step)) == want, (n, max_part)
+
+
+def test_enumeration_is_lazy_and_needs_no_recursion_depth():
+    """The first tuples come at once at any n, and a tuple may be longer than
+    the recursion limit."""
+    first = _gen(10**9, 10**9, 0, 1)
+    assert next(first) == (10**9,)
+    assert next(first) == (10**9 - 1, 1)
+    ones = next(_gen(5000, 1, 0, 1))
+    assert ones == (1,) * 5000
+
+
+def test_frobenius_symbols_built_unchecked_equal_their_validated_rebuild():
+    for n in range(21):
+        for lam in enumerate_partitions(n):
+            symbol = lam.frobenius()
+            assert symbol == FrobeniusSymbol(symbol.legs, symbol.arms)
+            assert symbol.to_partition() == Partition(lam.parts) == lam
+            assert type(symbol.to_partition()) is Partition

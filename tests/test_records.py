@@ -139,7 +139,7 @@ LAYOUT = (
     "_Layout(record=<class 'barblocks.littlewood.BarLittlewood'>, "
     "label=<class 'barblocks.partitions.BarPartition'>, modulus='t must be an odd integer >= 3', "
     "head=1, width=<function ",
-    "(record, label, modulus, head, width, counted, numbers, parts, pair)",
+    "(record, label, modulus, head, width, counted, numbers, folded, parts, pair)",
 )
 
 
