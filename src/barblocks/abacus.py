@@ -30,6 +30,7 @@ validated abacus, are built unchecked (``_Record._unchecked``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from operator import index
 
@@ -181,39 +182,56 @@ class TwistedBarAbacus(_Record):
         return self.untwist().to_partition()
 
 
-def _render_plain(a: BarAbacus) -> str:
-    height = max((max(r) for r in a.runners if r), default=0) + 1
-    lines = []
-    for slot in range(height - 1, -1, -1):
-        lines.append(" ".join(BLACK if slot in r else WHITE for r in a.runners))
-    lines.append(" ".join(str(r) for r in range(a.t)))
-    return "\n".join(lines)
+_CHUNK = 4096  # the most rows in one piece of a drawing
 
 
-def _render_twisted(a: TwistedBarAbacus) -> str:
-    above_h = max(
-        [max(a.runner0, default=0)] + [max(fr.black_above, default=0) for fr in a.shifted]
-    ) + 1
-    below_h = max(max(fr.white_below, default=0) for fr in a.shifted) + 1 if a.shifted else 1
-    lines = []
-    for slot in range(above_h - 1, -1, -1):
-        row = [BLACK if slot in a.runner0 else WHITE]
-        row += [BLACK if slot in fr.black_above else WHITE for fr in a.shifted]
-        lines.append(" ".join(row))
-    # runner 0 has no fence and no below band; its column stays blank there
-    lines.append(" ".join([" "] + ["-"] * len(a.shifted)))
-    for slot in range(below_h):
-        row = [" "]
-        row += [WHITE if slot in fr.white_below else BLACK for fr in a.shifted]
-        lines.append(" ".join(row))
-    lines.append(" ".join(str(r) for r in range(len(a.shifted) + 1)))
-    return "\n".join(lines)
+def _band(lead: list, runners, on: str, off: str, downward: bool):
+    """The rows of one band of a drawing, top row first, in pieces of at most
+    _CHUNK rows joined by newlines.  A row is the lead cells, then one cell
+    per runner: on where the runner has a bead at the row's slot, off
+    elsewhere.  A downward band shows its highest slot at the top, an upward
+    band slot 0.  Only the rows that hold a bead are built; every other row
+    is one shared string."""
+    beads = {}  # slot -> the runners with a bead there
+    for j, slots in enumerate(runners):
+        for k in slots:
+            beads.setdefault(k, []).append(j)
+    occupied = sorted(beads)
+    height = (occupied[-1] if occupied else 0) + 1
+    cells = [off] * len(runners)
+    empty = " ".join(lead + cells)
+    starts = range(0, height, _CHUNK)
+    for start in reversed(starts) if downward else starts:
+        stop = min(start + _CHUNK, height)
+        rows = [empty] * (stop - start)
+        for k in occupied[bisect_left(occupied, start):bisect_left(occupied, stop)]:
+            row = cells.copy()
+            for j in beads[k]:
+                row[j] = on
+            rows[k - start] = " ".join(lead + row)
+        if downward:
+            rows.reverse()
+        yield "\n".join(rows)
+
+
+def _lines(a):
+    """The drawing of a plain or twisted abacus in pieces of lines, at most
+    _CHUNK rows each; joined by newlines they are ``render(a)``."""
+    if isinstance(a, BarAbacus):
+        yield from _band([], a.runners, BLACK, WHITE, downward=True)
+        yield " ".join(map(str, range(a.t)))
+    elif isinstance(a, TwistedBarAbacus):
+        above = [a.runner0] + [fr.black_above for fr in a.shifted]
+        yield from _band([], above, BLACK, WHITE, downward=True)
+        # runner 0 has no fence and no below band; its column stays blank there
+        yield " ".join([" "] + ["-"] * len(a.shifted))
+        below = [fr.white_below for fr in a.shifted]
+        yield from _band([" "], below, WHITE, BLACK, downward=False)
+        yield " ".join(map(str, range(len(a.shifted) + 1)))
+    else:
+        raise TypeError(f"cannot render {type(a).__name__}")
 
 
 def render(a) -> str:
     """Deterministic ASCII drawing of a plain or twisted abacus."""
-    if isinstance(a, BarAbacus):
-        return _render_plain(a)
-    if isinstance(a, TwistedBarAbacus):
-        return _render_twisted(a)
-    raise TypeError(f"cannot render {type(a).__name__}")
+    return "\n".join(_lines(a))

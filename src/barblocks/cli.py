@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .partitions import BarPartition, Partition
 
@@ -96,6 +97,46 @@ def _literal(args):
     return (Partition if getattr(args, "nonspin", False) else BarPartition).from_text(text)
 
 
+# The most numbers or records in one piece of a long answer: an answer is
+# written as it is made, so its peak memory does not grow with its length.
+_CHUNK = 4096
+
+
+def _json_runs(items):
+    """The text of json.dumps(list(items)) in pieces of at most _CHUNK items."""
+    items = iter(items)
+    yield "["
+    sep = ""
+    while run := list(islice(items, _CHUNK)):
+        yield sep + json.dumps(run)[1:-1]
+        sep = ", "
+    yield "]"
+
+
+def _json_lists(lists):
+    """The text of json.dumps(list(lists)), lists an iterable of int tuples,
+    in pieces of at most _CHUNK numbers (a tuple counts one more): each run
+    of short tuples goes through json.dumps, and a longer tuple through
+    _json_runs."""
+    yield "["
+    sep, run, size = "", [], 0
+    for xs in lists:
+        n = len(xs) + 1
+        if run and size + n > _CHUNK:
+            yield sep + json.dumps(run)[1:-1]
+            sep, run, size = ", ", [], 0
+        if n > _CHUNK:
+            yield sep
+            yield from _json_runs(xs)
+            sep = ", "
+        else:
+            run.append(xs)
+            size += n
+    if run:
+        yield sep + json.dumps(run)[1:-1]
+    yield "]"
+
+
 def _cmd_decompose(args) -> int:
     from .littlewood import bar_decompose, ordinary_decompose
 
@@ -107,8 +148,12 @@ def _cmd_decompose(args) -> int:
     print(f"partition: {lam}")
     print(f"p: {args.p}")
     print(f"core: {dec.core}")
-    print(f"charvec: {json.dumps(list(dec.charvec))}")
-    print(f"quotient: {json.dumps([q.to_json() for q in dec.quotient])}")
+    print("charvec: ", end="")
+    sys.stdout.writelines(_json_runs(dec.charvec))
+    print()
+    print("quotient: ", end="")
+    sys.stdout.writelines(_json_lists(q.parts for q in dec.quotient))
+    print()
     print(f"weight: {dec.weight}")
     print(f"cocore: {dec.cocore}")
     print(f"d: {dec.d}")
@@ -116,11 +161,15 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_abacus(args) -> int:
-    from .abacus import BarAbacus, render
+    from .abacus import BarAbacus, _lines
 
     ab = BarAbacus.from_partition(_literal(args), args.p)
     obj = ab.twist() if args.twisted else ab
-    print(json.dumps(obj.to_json()) if args.json else render(obj))
+    if args.json:
+        print(json.dumps(obj.to_json()))
+    else:
+        for piece in _lines(obj):
+            print(piece)
     return 0
 
 
@@ -151,27 +200,25 @@ def _cmd_blocks(args) -> int:
     _odd_prime(args.p)
     if args.n < 0:
         raise ValueError("n must be non-negative")
-    out = []
-    for block in _blocks_of(args.n, args.p, args.group):
+    # --json writes the text of json.dumps of the block list as it goes: each
+    # block's other fields, then its members a run at a time
+    if args.json:
+        sys.stdout.write("[")
+    for i, block in enumerate(_blocks_of(args.n, args.p, args.group)):
         members = _members_of(block)
         defect, heights = _heights_of(block, members)
         if args.json:
-            out.append(
-                {
-                    "kappa": block.kappa.to_json(),
-                    "w": block.w,
-                    "group": block.group,
-                    "defect": defect,
-                    "members": [{**label.to_json(), "height": heights[label]} for label in members],
-                }
-            )
+            head = {"kappa": block.kappa.to_json(), "w": block.w, "group": block.group, "defect": defect}
+            sys.stdout.write((", " if i else "") + json.dumps(head)[:-1] + ', "members": ')
+            sys.stdout.writelines(_json_runs({**label.to_json(), "height": heights[label]} for label in members))
+            sys.stdout.write("}")
             continue
         print(f"block kappa=[{block.kappa}] w={block.w} group={block.group} defect={defect}")
         for label in members:
             name = label.partition if isinstance(block, SpinBlockId) else label.nu
             print(f"  [{name}] {label.variant} height={heights[label]}")
     if args.json:
-        print(json.dumps(out))
+        print("]")
     return 0
 
 

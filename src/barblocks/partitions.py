@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import partial
+from itertools import chain, repeat
 from operator import attrgetter, index
 
 
@@ -271,17 +272,14 @@ def _frobenius(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def _from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> tuple[int, ...]:
-    """Parts with the given descending arms and legs in O(d + rows): row i < d
-    is arms[i]+i+1, and each row below the diagonal counts the weakly
-    decreasing column lengths legs[j]+j+1 that reach it."""
+    """Parts with the given descending arms and legs in O(d) steps: row i < d
+    is arms[i]+i+1, and below the diagonal the rows equal to j are those that
+    column j-1 reaches and column j does not, legs[j-1] - legs[j] - 1 of them
+    (legs[d] read as -1).  The tuple is filled from these runs directly, with
+    no list of its rows beside it."""
     d = len(arms)
-    rows = [arms[i] + i + 1 for i in range(d)]
-    j = d
-    for i in range(d + 1, legs[0] + 2 if d else 0):
-        while legs[j - 1] + j < i:
-            j -= 1
-        rows.append(j)
-    return tuple(rows)
+    runs = [repeat(j, legs[j - 1] - (legs[j] if j < d else -1) - 1) for j in range(d, 0, -1)]
+    return tuple(chain([arms[i] + i + 1 for i in range(d)], *runs))
 
 
 def _shift(above: tuple, below: tuple, c: int) -> tuple[tuple, tuple]:

@@ -1,9 +1,13 @@
 import pytest
 
 from barblocks.abacus import (
+    _CHUNK,
+    BLACK,
+    WHITE,
     BarAbacus,
     FencedRunner,
     TwistedBarAbacus,
+    _lines,
     render,
 )
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
@@ -247,3 +251,54 @@ def test_abaci_built_unchecked_equal_their_validated_rebuild(t):
                 assert [type(x) for x in record._key(record)] == [type(x) for x in rebuilt._key(rebuilt)]
             assert all(type(fr) is FencedRunner for fr in twisted.shifted)
             assert all(type(slots) is frozenset for slots in ab.runners)
+
+
+def _reference_render(a) -> str:
+    """The cell-by-cell drawing: one membership test of a runner's slot set
+    per cell, each row built and the whole drawing joined in one piece."""
+    if isinstance(a, BarAbacus):
+        height = max((max(r) for r in a.runners if r), default=0) + 1
+        lines = [" ".join(BLACK if slot in r else WHITE for r in a.runners) for slot in range(height - 1, -1, -1)]
+        lines.append(" ".join(str(r) for r in range(a.t)))
+        return "\n".join(lines)
+    above_h = max([max(a.runner0, default=0)] + [max(fr.black_above, default=0) for fr in a.shifted]) + 1
+    below_h = max(max(fr.white_below, default=0) for fr in a.shifted) + 1
+    lines = []
+    for slot in range(above_h - 1, -1, -1):
+        row = [BLACK if slot in a.runner0 else WHITE]
+        row += [BLACK if slot in fr.black_above else WHITE for fr in a.shifted]
+        lines.append(" ".join(row))
+    lines.append(" ".join([" "] + ["-"] * len(a.shifted)))
+    for slot in range(below_h):
+        lines.append(" ".join([" "] + [WHITE if slot in fr.white_below else BLACK for fr in a.shifted]))
+    lines.append(" ".join(str(r) for r in range(len(a.shifted) + 1)))
+    return "\n".join(lines)
+
+
+def test_the_reference_renderer_draws_the_goldens():
+    ab = BarAbacus.from_partition(BarPartition([5, 3, 2, 1]), 3)
+    assert _reference_render(ab) == GOLDEN_5321_T3
+    assert _reference_render(ab.twist()) == GOLDEN_5321_T3_TWISTED
+
+
+@pytest.mark.parametrize("t", [3, 5, 7, 13])
+def test_render_equals_the_cell_by_cell_reference(t):
+    for n in range(21):
+        for lam in enumerate_partitions(n, "strict"):
+            ab = BarAbacus.from_partition(lam, t)
+            assert render(ab) == _reference_render(ab), (lam, t)
+            assert render(ab.twist()) == _reference_render(ab.twist()), (lam, t)
+
+
+@pytest.mark.parametrize("height", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
+def test_drawings_across_chunk_boundaries_equal_the_reference(height):
+    """Beads on both sides of each chunk boundary, and at the top slot of
+    both bands, so the first and last rows of every piece are drawn."""
+    slots = {s for s in (0, 1, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, height - 1) if s < height}
+    parts = {3 * s + 1 for s in slots} | {3 * s + 2 for s in slots if s % 2 or s == height - 1}
+    ab = BarAbacus.from_partition(BarPartition(sorted(parts, reverse=True)), 3)
+    for drawing, rows in ((ab, height + 1), (ab.twist(), 2 * height + 2)):
+        pieces = list(_lines(drawing))
+        assert "\n".join(pieces) == _reference_render(drawing)
+        assert sum(piece.count("\n") + 1 for piece in pieces) == rows
+        assert max(piece.count("\n") + 1 for piece in pieces) <= _CHUNK

@@ -423,3 +423,123 @@ def test_readme_library_example_holds():
     assert (namespace["dec"].weight, namespace["dec"].d) == (9, 0)
     assert eval("paired_parts(lam, 5)", namespace) == ((2, 3), (6, 14), (12, 8))
     assert eval("tau_partition(BarPartition([2, 1]), GaloisElement.sigma(3))", namespace) == -1
+
+
+def _reference_decompose_text(lam, p, dec) -> str:
+    """The text answer of decompose as one json.dumps per list line."""
+    return "".join(
+        f"{line}\n"
+        for line in (
+            f"partition: {lam}",
+            f"p: {p}",
+            f"core: {dec.core}",
+            f"charvec: {json.dumps(list(dec.charvec))}",
+            f"quotient: {json.dumps([q.to_json() for q in dec.quotient])}",
+            f"weight: {dec.weight}",
+            f"cocore: {dec.cocore}",
+            f"d: {dec.d}",
+        )
+    )
+
+
+def test_decompose_text_equals_the_json_dumps_lines(capsys):
+    """The charvec and quotient lines, written a run of numbers at a time,
+    equal one json.dumps of the whole list: every strict |lambda| <= 22 at
+    p in {3, 5, 13}, every |lambda| <= 16 with --nonspin at p in {3, 5}, and
+    records whose charvec, quotient or one component is longer than a chunk."""
+    from barblocks.cli import _CHUNK, _build_parser, _cmd_decompose
+    from barblocks.littlewood import bar_decompose, ordinary_decompose
+    from barblocks.partitions import BarPartition, enumerate_partitions
+
+    cases = [(lam, p, False) for p in (3, 5, 13) for n in range(23) for lam in enumerate_partitions(n, "strict")]
+    cases += [(lam, p, True) for p in (3, 5) for n in range(17) for lam in enumerate_partitions(n)]
+    wide = 2 * _CHUNK + 3
+    long_ones = [((3 * 5000 + 2, 31), 3), ((5, 1), wide), ((wide * 5000 + wide - 1, wide * 10 + 1), wide),
+                 ((wide * 5000 + wide - 3, wide * 4000 + 2, wide * 10 + 1, wide + 4), wide)]
+    cases += [(BarPartition(parts), p, False) for parts, p in long_ones]
+    parser, lengths = _build_parser(), set()  # one parser: building it is most of a main() call
+    for lam, p, nonspin in cases:
+        dec = (ordinary_decompose if nonspin else bar_decompose)(lam, p)
+        argv = ["decompose", "--p", str(p), *(["--nonspin"] if nonspin else []), str(lam) or " "]
+        code = _cmd_decompose(parser.parse_args(argv))
+        assert (code, capsys.readouterr().out) == (0, _reference_decompose_text(lam, p, dec)), argv
+        lengths.add((len(dec.charvec) > _CHUNK, max(len(q.parts) for q in dec.quotient) > _CHUNK))
+    assert lengths >= {(False, False), (True, False), (False, True), (True, True)}
+
+
+def _reference_blocks_json(n: int, p: int, group: str) -> str:
+    """The blocks --json answer as one json.dumps of the whole list."""
+    from barblocks.blocks import _blocks_of, _heights_of, _members_of
+
+    out = []
+    for block in _blocks_of(n, p, group):
+        members = _members_of(block)
+        defect, heights = _heights_of(block, members)
+        out.append(
+            {
+                "kappa": block.kappa.to_json(),
+                "w": block.w,
+                "group": block.group,
+                "defect": defect,
+                "members": [{**label.to_json(), "height": heights[label]} for label in members],
+            }
+        )
+    return json.dumps(out) + "\n"
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("group", ["stilde", "atilde", "g", "gplus"])
+def test_blocks_json_equals_one_json_dumps_of_the_list(capsys, group, p):
+    """Written a block and a run of members at a time, the listing equals one
+    json.dumps of the whole list, for every n <= 24, those with no block
+    included."""
+    empty = 0
+    for n in range(25):
+        code, out, _ = run(capsys, "blocks", "--p", str(p), "--n", str(n), "--group", group, "--json")
+        assert (code, out) == (0, _reference_blocks_json(n, p, group)), n
+        empty += out == "[]\n"
+    assert empty == (p if group in ("g", "gplus") else 0)
+
+
+# Spawns one child and prints its exit code and max-RSS.  A child's max-RSS
+# starts from its spawner's RSS, so a small interpreter started without site
+# spawns it, not this process.
+_SPAWN = (
+    "import os, sys; "
+    "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, "
+    "file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]); "
+    "_, status, usage = os.wait4(pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def _peak_rss_kib(*argv) -> int:
+    """The max-RSS of one child interpreter, read by os.wait4 on that child
+    alone, its stdout sent to the null device."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _SPAWN, sys.executable, *argv], env=env, capture_output=True, text=True
+    )
+    code, kib = map(int, done.stdout.split())
+    assert code == 0, (argv, done.stderr)
+    return kib
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("abacus", "--p", "11", "--twisted", "489775,428632,421350,236670,219044,35238"),
+        ("decompose", "--p", "3", "698212,650260,635420,568462,369525,178138"),
+        ("abacus", "--p", "3", "--twisted", "3000001,2999999"),
+    ],
+    ids=["abacus", "decompose", "abacus-2M-rows"],
+)
+def test_large_answers_are_written_in_bounded_memory(argv):
+    """The largest abacus drawing (about 89,000 rows) and decompose answer
+    (a 211,810-part quotient component) of the point queries, and a drawing
+    of 2,000,003 rows, peak within 4 MiB of a process that only imports the
+    CLI: the answer is written in pieces, never held whole."""
+    floor = _peak_rss_kib("-c", "import barblocks.cli")
+    peak = _peak_rss_kib("-c", "import sys; from barblocks.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    assert peak - floor <= 4 * 1024, f"{peak} KiB, {peak - floor} KiB above the import floor"

@@ -23,6 +23,7 @@ ALLOWED = {
 
 # public module.name -> why it stays although no code in src/barblocks reads it
 PUBLIC_ALLOWED = {
+    "abacus.render": "the one-string drawing for library callers; the CLI writes the same lines through _lines",
     "characters.bar_hook_lengths": "the hook route that valuations are tested against",
     "galois.tau_sqrt2": "the closed form that the oracle's sqrt(2) sign is tested against",
     "littlewood.ordinary_reconstruct": "the inverse of ordinary_decompose",

@@ -1,5 +1,7 @@
 import ast
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from barblocks.partitions import (
     BarPartition,
     FrobeniusSymbol,
     Partition,
+    _from_frobenius,
     _gen,
     enumerate_partitions,
 )
@@ -77,6 +80,36 @@ def test_frobenius_round_trip():
     for n in range(41):
         for lam in enumerate_partitions(n):
             assert lam.frobenius().to_partition() == lam
+
+
+def _walked_rows(arms, legs):
+    """The rows of a Frobenius symbol one at a time: each row below the
+    diagonal counts the columns legs[j]+j+1 long that reach it."""
+    d = len(arms)
+    rows = [arms[i] + i + 1 for i in range(d)]
+    j = d
+    for i in range(d + 1, legs[0] + 2 if d else 0):
+        while legs[j - 1] + j < i:
+            j -= 1
+        rows.append(j)
+    return tuple(rows)
+
+
+def test_frobenius_reading_equals_the_row_walk_and_keeps_no_row_list():
+    """Read from runs of equal rows, the parts equal the row-by-row walk;
+    a reading of 200,001 rows allocates little beyond its own tuple."""
+    symbols = [lam.frobenius() for n in range(26) for lam in enumerate_partitions(n)]
+    symbols.append(FrobeniusSymbol(legs=(200000, 150000, 3), arms=(9, 5, 0)))
+    for fs in symbols:
+        assert _from_frobenius(fs.arms, fs.legs) == _walked_rows(fs.arms, fs.legs)
+    tracemalloc.start()
+    try:
+        parts = _from_frobenius((9, 5, 0), (200000, 150000, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parts) == 200001
+    assert peak < 1.5 * sys.getsizeof(parts)
 
 
 def test_diagonal_hooks():
