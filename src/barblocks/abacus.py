@@ -11,9 +11,9 @@ Conventions used throughout:
   two descending int tuples.
 * With above slot k at position k and below slot k at position -1-k, a shift
   by c is one translation of every bead (`partitions._shift`, shared with
-  the engine); pull_up is c = 1.  The reference runner of m, the first m
-  above slots black (m > 0) or the first -m below slots white (m < 0), is
-  ``FencedRunner().shift(m)``.
+  the engine); a pull up is c = 1 and a push down c = -1.  The reference
+  runner of m, the first m above slots black (m > 0) or the first -m below
+  slots white (m < 0), is ``FencedRunner().shift(m)``.
 * A runner is *pointed* when it carries as many black beads above as white
   beads below.  A pointed runner encodes a partition through its Frobenius
   symbol: black slots above are the arms, white slots below are the legs.
@@ -64,24 +64,6 @@ class FencedRunner(_Record):
     @property
     def is_pointed(self) -> bool:
         return self.charnum == 0
-
-    def push_down(self) -> "FencedRunner":
-        """Move every bead one slot downward; above-slot 0 crosses the fence."""
-        crossing_black = 0 in self.black_above
-        above = frozenset(x - 1 for x in self.black_above if x >= 1)
-        below = set(x + 1 for x in self.white_below)
-        if not crossing_black:
-            below.add(0)
-        return FencedRunner(above, frozenset(below))
-
-    def pull_up(self) -> "FencedRunner":
-        """Inverse of push_down: below-slot 0 crosses the fence upward."""
-        crossing_white = 0 in self.white_below
-        below = frozenset(x - 1 for x in self.white_below if x >= 1)
-        above = set(x + 1 for x in self.black_above)
-        if not crossing_white:
-            above.add(0)
-        return FencedRunner(frozenset(above), below)
 
     def shift(self, c: int) -> "FencedRunner":
         """Pull up c times (c > 0) or push down -c times (c < 0)."""

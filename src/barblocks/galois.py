@@ -138,11 +138,6 @@ class GaloisElement(_Record):
         """An automorphism fixing every p'-root of unity."""
         return cls(p, e=0, s=s)
 
-    def compose(self, other: "GaloisElement") -> "GaloisElement":
-        if self.p != other.p:
-            raise ValueError("cannot compose automorphisms at different primes")
-        return GaloisElement(self.p, self.e + other.e, (self.s * other.s) % self.p)
-
 
 def standard_generators(p: int) -> tuple[GaloisElement, ...]:
     """sigma_p together with every automorphism trivial on p'-roots."""

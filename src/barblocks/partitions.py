@@ -52,10 +52,10 @@ class Partition:
         return hash(self.parts)
 
     def __lt__(self, other):
-        return self.parts < other.parts
+        return self.parts < other.parts if isinstance(other, Partition) else NotImplemented
 
     def __le__(self, other):
-        return self.parts <= other.parts
+        return self.parts <= other.parts if isinstance(other, Partition) else NotImplemented
 
     def __iter__(self):
         return iter(self.parts)
@@ -100,23 +100,10 @@ class Partition:
         return sum(1 for i, p in enumerate(self.parts) if p >= i + 1)
 
     def frobenius(self) -> "FrobeniusSymbol":
-        """Arm/leg coordinates of the diagonal boxes."""
+        """Arm/leg coordinates of the diagonal boxes; diagonal box i has the
+        hook length arms[i] + legs[i] + 1."""
         arms, legs = _frobenius(self.parts)
         return FrobeniusSymbol._unchecked(legs, arms)
-
-    def diagonal_hooks(self) -> tuple[int, ...]:
-        """Hook lengths of the diagonal boxes, largest first."""
-        arms, legs = _frobenius(self.parts)
-        return tuple(a + l + 1 for a, l in zip(arms, legs))
-
-    def hook_lengths(self) -> tuple[int, ...]:
-        """All hook lengths of the Young diagram (row by row)."""
-        conj = self.conjugate().parts
-        out = []
-        for i, p in enumerate(self.parts):
-            for j in range(p):
-                out.append((p - j) + (conj[j] - i) - 1)
-        return tuple(out)
 
     # -- serialization ---------------------------------------------------
 

@@ -119,3 +119,30 @@ def diagonal_hooks(lam: Partition) -> list[int]:
         column = sum(1 for part in parts if part > i)
         hooks.append((row - i) + (column - i) - 1)
     return hooks
+
+
+def hook_lengths(lam: Partition) -> list[int]:
+    """Every hook length of lam, row by row, read off the rows and columns of
+    its diagram: box (i, j) has the arm row_i - j - 1 and the leg column_j -
+    i - 1, where column j is as long as the number of parts above j."""
+    parts = list(lam.parts)
+    return [
+        (row - j) + (sum(1 for part in parts if part > j) - i) - 1
+        for i, row in enumerate(parts)
+        for j in range(row)
+    ]
+
+
+def push_down(above: frozenset, below: frozenset) -> tuple[frozenset, frozenset]:
+    """One push down of the fenced runner with black slots above and white
+    slots below: every bead moves one slot down, and the bead on above slot 0
+    crosses the fence to below slot 0, keeping its color."""
+    crossing = {0} if 0 not in above else set()
+    return frozenset(x - 1 for x in above if x >= 1), frozenset({x + 1 for x in below} | crossing)
+
+
+def pull_up(above: frozenset, below: frozenset) -> tuple[frozenset, frozenset]:
+    """One pull up, the inverse of push_down: every bead moves one slot up,
+    and the bead on below slot 0 crosses the fence to above slot 0."""
+    crossing = {0} if 0 not in below else set()
+    return frozenset({x + 1 for x in above} | crossing), frozenset(x - 1 for x in below if x >= 1)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from barblocks.abacus import (
@@ -10,7 +12,9 @@ from barblocks.abacus import (
     _lines,
     render,
 )
-from barblocks.partitions import BarPartition, Partition, enumerate_partitions
+from barblocks.littlewood import _normalized
+from barblocks.partitions import BarPartition, Partition, _shift, enumerate_partitions
+from oracles import pull_up, push_down
 
 
 def _validated(record):
@@ -131,36 +135,41 @@ def test_normalize_idempotent_and_pointed():
         assert (again, c2) == (pointed, 0)
 
 
+# every runner with beads among the first four slots on each side, as slot sets
+_SLOTS = [frozenset(x for x in range(4) if bits >> x & 1) for bits in range(16)]
+_RUNNERS = list(product(_SLOTS, _SLOTS))
+
+
 def test_push_pull_are_inverse():
-    samples = [
-        FencedRunner({0, 2}, {1, 3}),
-        FencedRunner({5}, frozenset()),
-        FencedRunner(),
-        FencedRunner(frozenset(), {0}),
-    ]
-    for runner in samples:
-        assert runner.push_down().pull_up() == runner
-        assert runner.pull_up().push_down() == runner
-        assert runner.shift(3).shift(-3) == runner
+    for runner in _RUNNERS:
+        assert pull_up(*push_down(*runner)) == runner
+        assert push_down(*pull_up(*runner)) == runner
+        assert FencedRunner(*runner).shift(3).shift(-3) == FencedRunner(*runner)
+
+
+def _descending(slots: tuple) -> bool:
+    return all(a > b for a, b in zip(slots, slots[1:]))
 
 
 def test_closed_form_shift_equals_single_steps():
-    # every runner with beads among the first four slots on each side
-    runners = [
-        FencedRunner({x for x in range(4) if a >> x & 1}, {x for x in range(4) if b >> x & 1})
-        for a in range(16)
-        for b in range(16)
-    ]
-    for runner in runners:
-        stepped = runner
+    """partitions._shift, littlewood._normalized and FencedRunner.shift
+    against c single steps of the reference, for every c in -6..6."""
+    for above, below in _RUNNERS:
+        steps = {0: (above, below)}
         for c in range(1, 7):
-            stepped = stepped.pull_up()
-            assert runner.shift(c) == stepped
-        stepped = runner
-        for c in range(-1, -7, -1):
-            stepped = stepped.push_down()
-            assert runner.shift(c) == stepped
-        assert runner.shift(0) == runner
+            steps[c] = pull_up(*steps[c - 1])
+            steps[-c] = push_down(*steps[1 - c])
+        runner = (tuple(sorted(above, reverse=True)), tuple(sorted(below, reverse=True)))
+        for c, stepped in steps.items():
+            shifted = _shift(*runner, c)
+            assert tuple(map(frozenset, shifted)) == stepped
+            assert all(map(_descending, shifted))
+            assert FencedRunner(above, below).shift(c) == FencedRunner(*stepped)
+        c, pointed, *_ = _normalized.__wrapped__(runner)
+        assert c == len(above) - len(below)
+        assert len(pointed[0]) == len(pointed[1])
+        assert tuple(map(frozenset, pointed)) == steps[-c]
+        assert _shift(*pointed, c) == runner
 
 
 def test_pointed_runner_partition_round_trip():

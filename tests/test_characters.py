@@ -34,7 +34,7 @@ from barblocks.littlewood import (
     ordinary_decompose,
 )
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
-from oracles import bar_multipartition_count, count_odd_part_partitions, multipartition_count
+from oracles import bar_multipartition_count, count_odd_part_partitions, hook_lengths, multipartition_count
 
 
 def test_classify_spin_rules():
@@ -329,8 +329,9 @@ def test_char_label_validation_and_json():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_valuation_equals_the_one_from_the_full_hook_lists(p):
-    """_valuation visits only the hooks p divides; the public hook lists give
-    every hook, on all strict |lambda| <= 30 and all |lambda| <= 20."""
+    """_valuation visits only the hooks p divides; the public bar hook list
+    and the reference hook list give every hook, on all strict |lambda| <= 30
+    and all |lambda| <= 20."""
 
     def from_hooks(lam, hooks):
         return nu_p_factorial(lam.size, p) - sum(nu_p(h, p) for h in hooks if h % p == 0)
@@ -340,4 +341,4 @@ def test_valuation_equals_the_one_from_the_full_hook_lists(p):
             assert _valuation.__wrapped__(lam.parts, p, True) == from_hooks(lam, bar_hook_lengths(lam))
     for n in range(21):
         for lam in enumerate_partitions(n):
-            assert _valuation.__wrapped__(lam.parts, p, False) == from_hooks(lam, lam.hook_lengths())
+            assert _valuation.__wrapped__(lam.parts, p, False) == from_hooks(lam, hook_lengths(lam))

@@ -1,9 +1,11 @@
 """Every module-level definition of src/barblocks has a reader: code in
 src/barblocks reads it, or it is public, a dunder, or allowed below.  A public
-name has a reader too, or is allowed in a list of its own.  And one method
-writes the JSON of every record."""
+name has a reader too, or is allowed in a list of its own, and so has every
+method, property and classmethod of a class.  And one method writes the JSON
+of every record."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import barblocks
@@ -27,6 +29,17 @@ PUBLIC_ALLOWED = {
     "characters.bar_hook_lengths": "the hook route that valuations are tested against",
     "galois.tau_sqrt2": "the closed form that the oracle's sqrt(2) sign is tested against",
     "littlewood.ordinary_reconstruct": "the inverse of ordinary_decompose",
+}
+
+# module.Class.member -> why it stays although no code in src/barblocks reads it
+MEMBER_ALLOWED = {
+    "abacus.FencedRunner.normalize": (
+        "bench/tracer.py GROUPS traces it, and the tracer refuses to run without it "
+        "(test_every_name_the_benchmark_tracer_wraps_exists)"
+    ),
+    "partitions._Record._replace": (
+        "the README's way to make a changed copy of a record; the mutation tests build doctored records with it"
+    ),
 }
 
 
@@ -131,6 +144,76 @@ def test_an_attribute_of_a_sibling_module_is_a_read():
         "c": ast.parse("import a\n\ndef run():\n    return a.unread()\n"),
     }
     assert _unread(trees, public=("run",)) == ["a.unread (line 4)"]
+
+
+def _members(tree: ast.Module):
+    """(Class.name, def) for each method, property and classmethod of each
+    class in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _member_reads(node: ast.AST):
+    """Each name that node reads as an attribute or spells as a string
+    constant (``operator.methodcaller("sort_key")``)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _unread_members(trees: dict[str, ast.Module], allowed=()) -> list[str]:
+    """module.Class.name (line) of each member, not a dunder nor allowed,
+    whose name nothing reads outside its own definition.  The scan goes by
+    name, so a read of one class's to_partition counts for every class's."""
+    reads = Counter(name for tree in trees.values() for name in _member_reads(tree))
+    out = []
+    for module, tree in trees.items():
+        for qualname, member in _members(tree):
+            if member.name.startswith("__") or f"{module}.{qualname}" in allowed:
+                continue
+            if reads[member.name] > sum(1 for name in _member_reads(member) if name == member.name):
+                continue
+            out.append(f"{module}.{qualname} (line {member.lineno})")
+    return out
+
+
+def test_every_member_has_a_reader():
+    assert _unread_members(_source_trees(), MEMBER_ALLOWED) == []
+
+
+def test_every_allowed_member_is_defined_and_unread():
+    """A member that is deleted, or that code starts to read, leaves the list."""
+    unread = {entry.split(" ")[0] for entry in _unread_members(_source_trees())}
+    assert unread == set(MEMBER_ALLOWED)
+
+
+def test_a_member_left_behind_is_found():
+    trees = {
+        "a": ast.parse(
+            "class Label:\n"
+            "    def __repr__(self):\n        return self.used()\n\n"
+            "    def used(self):\n        return 0\n\n"
+            "    def unused(self):\n        return 1\n\n"
+            "    @property\n    def size(self):\n        return 2\n\n"
+            "    @classmethod\n    def build(cls):\n        return cls()\n\n"
+            "    def sort_key(self):\n        return 3\n\n"
+            "    def again(self, n):\n        return self.again(n - 1) if n else 0\n"
+        ),
+        "b": ast.parse(
+            "import operator\n\n"
+            "from .a import Label\n\n"
+            "def run(labels):\n"
+            "    return sorted(labels, key=operator.methodcaller('sort_key')), Label.build()\n"
+        ),
+    }
+    unread = ["a.Label.unused (line 8)", "a.Label.size (line 12)", "a.Label.again (line 22)"]
+    assert _unread_members(trees) == unread
+    assert _unread_members(trees, allowed=("a.Label.size",)) == [unread[0], unread[2]]
 
 
 def _json_writers(trees: dict[str, ast.Module]) -> list[str]:

@@ -1,4 +1,6 @@
 import ast
+from functools import partial
+from itertools import product
 from pathlib import Path
 from time import perf_counter
 
@@ -69,13 +71,21 @@ def test_galois_element_validation():
         GaloisElement(5, -1, 1)
 
 
-def test_galois_element_compose_and_json():
-    f = GaloisElement(5, 1, 2)
-    g = GaloisElement(5, 2, 3)
-    assert f.compose(g) == GaloisElement(5, 3, 1)
-    assert f.to_json() == {"p": 5, "e": 1, "s": 2}
-    with pytest.raises(ValueError):
-        f.compose(GaloisElement(3))
+def test_tau_is_a_character_of_the_galois_group():
+    """tau(f o g) = tau(f) tau(g), where f o g acts by zeta -> zeta**(p**(e+e'))
+    on p'-roots and by s*s' on p-th roots: the closed forms on strict
+    |lambda| <= 12 and self-conjugate |lambda| <= 20, tau_sqrt and the oracle
+    for m < 60."""
+    assert GaloisElement(5, 1, 2).to_json() == {"p": 5, "e": 1, "s": 2}
+    taus = [partial(tau_partition, lam) for n in range(13) for lam in enumerate_partitions(n, "strict")]
+    taus += [partial(tau_selfconjugate, lam) for n in range(21) for lam in enumerate_partitions(n, "self_conjugate")]
+    taus += [partial(tau, m) for m in range(1, 60) for tau in (tau_sqrt, oracle_tau_sqrt)]
+    for p in (3, 5, 7, 11):
+        fs = [GaloisElement(p, e, s) for e in range(3) for s in range(1, p)]
+        for tau in taus:
+            value = {(e, s): tau(GaloisElement(p, e, s)) for e in range(5) for s in range(1, p)}
+            for f, g in product(fs, fs):
+                assert value[f.e + g.e, f.s * g.s % p] == value[f.e, f.s] * value[g.e, g.s], (tau, f, g)
 
 
 def test_tau_i_and_sqrt2():

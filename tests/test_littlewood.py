@@ -21,7 +21,7 @@ from barblocks.littlewood import (
 from barblocks.partitions import (
     BarPartition, Partition, _frobenius, _from_frobenius, _shift, enumerate_partitions,
 )
-from oracles import bar_core_by_removal, p_core_by_hook_removal
+from oracles import bar_core_by_removal, diagonal_hooks, p_core_by_hook_removal
 
 
 def strict_upto(bound):
@@ -252,7 +252,7 @@ def test_selfconjugate_paired_hooks():
             if ordinary_decompose(lam, p).core:
                 continue
             pairs = selfconjugate_paired_hooks(lam, p)
-            hooks = sorted(lam.diagonal_hooks())
+            hooks = sorted(diagonal_hooks(lam))
             seen = sorted({h for pair in pairs for h in pair})
             assert seen == sorted(set(hooks))
             for a, b in pairs:

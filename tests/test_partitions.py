@@ -1,20 +1,23 @@
 import ast
 import json
+import operator
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from barblocks.galois import _selfconjugate_hooks
 from barblocks.partitions import (
     BarPartition,
     FrobeniusSymbol,
     Partition,
     _from_frobenius,
     _gen,
+    _selfconjugate,
     enumerate_partitions,
 )
-from oracles import count_odd_part_partitions
+from oracles import count_odd_part_partitions, diagonal_hooks, hook_lengths
 
 
 def test_validation():
@@ -31,6 +34,18 @@ def test_immutable():
     lam = Partition([2, 1])
     with pytest.raises(AttributeError):
         lam.parts = (3,)
+
+
+def test_ordering_against_a_non_partition_is_refused():
+    """Partitions order by their parts among themselves; against any other
+    value each comparison returns NotImplemented, so Python raises TypeError."""
+    assert Partition([2, 1]) < Partition([3]) and BarPartition([2, 1]) <= Partition([2, 1])
+    for other in (5, (1,), [1], None):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(Partition([1]), other)
+            with pytest.raises(TypeError):
+                compare(other, BarPartition([1]))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -113,22 +128,32 @@ def test_frobenius_reading_equals_the_row_walk_and_keeps_no_row_list():
 
 
 def test_diagonal_hooks():
-    assert Partition([2, 1]).diagonal_hooks() == (3,)
-    assert Partition([3, 2]).diagonal_hooks() == (4, 1)
+    assert diagonal_hooks(Partition([2, 1])) == [3]
+    assert diagonal_hooks(Partition([3, 2])) == [4, 1]
 
 
 def test_diagonal_hooks_sum_to_size():
+    """The diagonal hooks sum to the size, and they are arms + legs + 1 of
+    the Frobenius symbol."""
     for n in range(16):
         for lam in enumerate_partitions(n):
-            assert sum(lam.diagonal_hooks()) == n
+            fs = lam.frobenius()
+            assert diagonal_hooks(lam) == [a + l + 1 for a, l in zip(fs.arms, fs.legs)]
+            assert sum(diagonal_hooks(lam)) == n
 
 
 def test_selfconjugate_hooks_are_odd():
-    for n in range(1, 20):
+    """galois._selfconjugate_hooks, the one diagonal-hook routine of the
+    library, gives the odd diagonal hooks of every self-conjugate partition,
+    and the self-conjugate walk builds the partition back from them."""
+    for n in range(41):
         for lam in enumerate_partitions(n, "self_conjugate"):
-            fs = lam.frobenius()
-            assert fs.arms == fs.legs
-            assert lam.diagonal_hooks() == tuple(2 * a + 1 for a in fs.arms)
+            hooks = _selfconjugate_hooks(lam)
+            assert hooks == tuple(diagonal_hooks(lam))
+            assert all(h % 2 for h in hooks)
+            assert _selfconjugate(hooks) == lam
+    with pytest.raises(ValueError, match="not self-conjugate"):
+        _selfconjugate_hooks(Partition([3, 1]))
 
 
 def test_conjugate():
@@ -223,16 +248,21 @@ def test_json_form():
 
 
 def test_hook_lengths_product_is_integer_degree():
+    """n!/prod(hooks) is the degree of an irreducible character of S_n, and
+    the squares of the degrees sum to n!."""
     from math import factorial
 
     for n in range(1, 21):
+        squares = 0
         for lam in enumerate_partitions(n):
-            hooks = lam.hook_lengths()
+            hooks = hook_lengths(lam)
             assert len(hooks) == n
             prod = 1
             for h in hooks:
                 prod *= h
             assert factorial(n) % prod == 0
+            squares += (factorial(n) // prod) ** 2
+        assert squares == factorial(n)
 
 
 def test_only_the_engine_builds_unchecked_labels():
