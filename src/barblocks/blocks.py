@@ -8,8 +8,11 @@ non-spin block.  The engine in littlewood.py builds this list once per (kind,
 kappa, w, p), and both spin groups share it.  ``_blocks_of`` lists the blocks
 of degree n, those over the p-bar cores kappa with p | n - |kappa|.
 ``_members_of`` gives the members of a block of any kind and ``_heights_of``
-its defect and heights, for the ``blocks`` listing and the map checks of
-suites.py alike.  bar_cores and selfconjugate_cores build the cores of both
+its defect and heights from hook lengths; these serve the map checks of
+suites.py only.  The ``blocks`` listing reads each height off the member's
+quotient instead, in the walk that builds the members (``_listed``), and
+computes no hook of a whole label, so the hook route is its independent
+check.  bar_cores and selfconjugate_cores build the cores of both
 kinds by one walk over their characteristic vectors (littlewood._cores).
 ``equivariance_check`` evaluates tau once per Galois sign class
 (galois._sign_classes) and reports every automorphism of its class, in order.
@@ -27,6 +30,7 @@ from .characters import (
     STILDE,
     WHOLE,
     CharLabel,
+    _hook_sum,
     classify,
     height_and_defect,
     label_tau,
@@ -38,7 +42,9 @@ from .galois import (
     tau_partition,
     tau_selfconjugate,
 )
-from .humphreys import G, GPLUS, GBlockId, GCharLabel, block_members, g_height_and_defect, phi, tau_g
+from .humphreys import (
+    G, GPLUS, GBlockId, GCharLabel, block_members, classify_g, g_height_and_defect, phi, tau_g,
+)
 from .littlewood import _BAR, _ORDINARY, _cores, _members, _rebuilt, bar_decompose, ordinary_decompose
 from .partitions import BarPartition, Partition, _as, _Record, enumerate_partitions
 
@@ -143,10 +149,33 @@ def _members_of(block) -> tuple:
 
 
 def _heights_of(block, members) -> tuple:
-    """(defect, heights) of block, for its labels in members, from hook lengths."""
+    """(defect, heights) of block, for its labels in members, from hook
+    lengths: the route of the map checks in suites.py."""
     if isinstance(block, GBlockId):
         return g_height_and_defect(members, block.p)
     return height_and_defect(members, block.n, block.p)
+
+
+def _listed(block) -> tuple:
+    """The defect of a spin or G/G+ block and its (label, height) rows, in
+    the order of _members_of(block), read off the quotients.  The hooks of a
+    label that p divides are p times the hooks of its quotient components,
+    bar hooks for the strict head (J. B. Olsson, Combinatorics and
+    Representations of Finite Groups, 1993).  So with S the sum of nu_p
+    over the hooks of the components (characters._hook_sum, taken once per
+    component shape by the walk that builds the members), nu_p(deg) =
+    nu_p(n!) - w - S, the height is max S - S and the defect w + max S.  A
+    G/G+ label (kappa, nu) reads S off the cocore nu: kappa, a p-bar core,
+    has no bar hook that p divides, so it adds nu_p(|kappa|!) to the degree
+    valuation and the group order of every member alike."""
+    spin = isinstance(block, SpinBlockId)
+    lams, sums = _members(_BAR, block.kappa.parts if spin else (), block.p, block.w, _hook_sum)
+    top = max(sums)
+
+    def labels(lam):
+        return classify(lam, block.group, SPIN) if spin else classify_g(block.kappa, lam, block.group)
+
+    return block.w + top, ((label, top - s) for lam, s in zip(lams, sums) for label in labels(lam))
 
 
 class LabelMap(_Record):

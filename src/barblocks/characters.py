@@ -107,27 +107,38 @@ def nu_p_factorial(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=4096, typed=True)
-def _valuation(parts: tuple[int, ...], p: int, spin: bool) -> int:
-    """nu_p of n! over the product of the bar hook lengths (spin) or of the
-    hook lengths (non-spin) of the partition with these parts.  With a each
+def _hook_sum(parts: tuple[int, ...], p: int, spin: bool) -> int:
+    """The sum of nu_p over the bar hook lengths (spin) or the hook lengths
+    (non-spin) of the partition with these parts, p unchecked.  With a each
     part (spin) or first-column hook and b each later one, a's row holds 1..a
     but the differences a-b, plus the sums a+b if spin; only the hooks p
     divides count, and nu_p(a!) is the sum over the multiples of p up to a.
+    No hook exceeds the size, so the sum is 0 below size p."""
+    if sum(parts) < p:
+        return 0
+    if not spin:
+        parts = tuple(x + len(parts) - 1 - i for i, x in enumerate(parts))
+    v = 0
+    for i, a in enumerate(parts):
+        v += nu_p_factorial(a, p)
+        for b in parts[i + 1 :]:
+            if not (a - b) % p:
+                v -= nu_p(a - b, p)
+            if spin and not (a + b) % p:
+                v += nu_p(a + b, p)
+    return v
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _valuation(parts: tuple[int, ...], p: int, spin: bool) -> int:
+    """nu_p of n! over the product of the bar hook lengths (spin) or of the
+    hook lengths (non-spin) of the partition with these parts.
 
     Every valuation and height reads its degrees here, so p is checked here,
     once per distinct label: an odd prime, or "p must be an odd prime".  The
     memo is typed, so a float p misses it and is refused like any other."""
     p = _odd_prime(p)
-    v = nu_p_factorial(sum(parts), p)
-    if not spin:
-        parts = tuple(x + len(parts) - 1 - i for i, x in enumerate(parts))
-    for i, a in enumerate(parts):
-        later = parts[i + 1 :]
-        v += sum(nu_p(a - b, p) for b in later if (a - b) % p == 0) - nu_p_factorial(a, p)
-        if spin:
-            v -= sum(nu_p(a + b, p) for b in later if (a + b) % p == 0)
-    return v
+    return nu_p_factorial(sum(parts), p) - _hook_sum(parts, p, spin)
 
 
 def spin_degree_valuation(lam: BarPartition, p: int) -> int:

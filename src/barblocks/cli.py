@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 a verification suite failed its pass criterion,
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 from itertools import islice
 
@@ -97,18 +97,30 @@ def _literal(args):
     return (Partition if getattr(args, "nonspin", False) else BarPartition).from_text(text)
 
 
-# The most numbers or records in one piece of a long answer: an answer is
-# written as it is made, so its peak memory does not grow with its length.
+# The most numbers, or member records, in one piece of a long answer: an
+# answer is written as it is made, so its peak memory does not grow with its
+# length.  A member record and its text take a few hundred bytes, against a
+# few dozen for a number.
 _CHUNK = 4096
+_RECORDS = 256
 
 
-def _json_runs(items):
-    """The text of json.dumps(list(items)) in pieces of at most _CHUNK items."""
+def _dumps(obj) -> str:
+    """json.dumps(obj), importing json on the first call: the text answers
+    of tau, pairs, abacus, blocks and a passing verify write no JSON and
+    load none of it."""
+    import json
+
+    return json.dumps(obj)
+
+
+def _json_runs(items, size=_CHUNK):
+    """The text of json.dumps(list(items)) in pieces of at most size items."""
     items = iter(items)
     yield "["
     sep = ""
-    while run := list(islice(items, _CHUNK)):
-        yield sep + json.dumps(run)[1:-1]
+    while run := list(islice(items, size)):
+        yield sep + _dumps(run)[1:-1]
         sep = ", "
     yield "]"
 
@@ -123,7 +135,7 @@ def _json_lists(lists):
     for xs in lists:
         n = len(xs) + 1
         if run and size + n > _CHUNK:
-            yield sep + json.dumps(run)[1:-1]
+            yield sep + _dumps(run)[1:-1]
             sep, run, size = ", ", [], 0
         if n > _CHUNK:
             yield sep
@@ -133,7 +145,7 @@ def _json_lists(lists):
             run.append(xs)
             size += n
     if run:
-        yield sep + json.dumps(run)[1:-1]
+        yield sep + _dumps(run)[1:-1]
     yield "]"
 
 
@@ -143,7 +155,7 @@ def _cmd_decompose(args) -> int:
     lam = _literal(args)
     dec = (ordinary_decompose if args.nonspin else bar_decompose)(lam, args.p)
     if args.json:
-        print(json.dumps(dec.to_json()))
+        print(_dumps(dec.to_json()))
         return 0
     print(f"partition: {lam}")
     print(f"p: {args.p}")
@@ -166,7 +178,7 @@ def _cmd_abacus(args) -> int:
     ab = BarAbacus.from_partition(_literal(args), args.p)
     obj = ab.twist() if args.twisted else ab
     if args.json:
-        print(json.dumps(obj.to_json()))
+        print(_dumps(obj.to_json()))
     else:
         for piece in _lines(obj):
             print(piece)
@@ -186,7 +198,7 @@ def _cmd_pairs(args) -> int:
 
     result = (selfconjugate_paired_hooks if args.nonspin else paired_parts)(_literal(args), args.p)
     if args.json:
-        print(json.dumps([list(pair) for pair in result]))
+        print(_dumps([list(pair) for pair in result]))
     else:
         for a, b in result:
             print(f"{a} {b}")
@@ -194,7 +206,7 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    from .blocks import SpinBlockId, _blocks_of, _heights_of, _members_of
+    from .blocks import SpinBlockId, _blocks_of, _listed
     from .galois import _odd_prime
 
     _odd_prime(args.p)
@@ -205,18 +217,18 @@ def _cmd_blocks(args) -> int:
     if args.json:
         sys.stdout.write("[")
     for i, block in enumerate(_blocks_of(args.n, args.p, args.group)):
-        members = _members_of(block)
-        defect, heights = _heights_of(block, members)
+        defect, rows = _listed(block)
         if args.json:
             head = {"kappa": block.kappa.to_json(), "w": block.w, "group": block.group, "defect": defect}
-            sys.stdout.write((", " if i else "") + json.dumps(head)[:-1] + ', "members": ')
-            sys.stdout.writelines(_json_runs({**label.to_json(), "height": heights[label]} for label in members))
+            sys.stdout.write((", " if i else "") + _dumps(head)[:-1] + ', "members": ')
+            records = ({**label.to_json(), "height": height} for label, height in rows)
+            sys.stdout.writelines(_json_runs(records, _RECORDS))
             sys.stdout.write("}")
             continue
         print(f"block kappa=[{block.kappa}] w={block.w} group={block.group} defect={defect}")
-        for label in members:
+        for label, height in rows:
             name = label.partition if isinstance(block, SpinBlockId) else label.nu
-            print(f"  [{name}] {label.variant} height={heights[label]}")
+            print(f"  [{name}] {label.variant} height={height}")
     if args.json:
         print("]")
     return 0
@@ -227,7 +239,7 @@ def _cmd_verify(args) -> int:
 
     report = verify(args.suite, args.p, args.max_n, w_max=args.max_w)
     if args.json:
-        print(json.dumps(report.to_json()))
+        print(_dumps(report.to_json()))
     else:
         print(f"suite: {report.suite}")
         print(f"p: {report.p}")
@@ -237,7 +249,7 @@ def _cmd_verify(args) -> int:
         for note in report.notes:
             print(f"note: {note}")
         for v in report.violations[:10]:
-            print(f"witness: {json.dumps(v)}")
+            print(f"witness: {_dumps(v)}")
         if len(report.violations) > 10:
             print(f"... and {len(report.violations) - 10} more")
     failed = report.passed == args.expect_violations
@@ -264,5 +276,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def _script() -> int:
+    """main() on sys.argv as a whole process: the ``barblocks`` script and
+    ``python -m barblocks.cli``.  The cyclic garbage collector is off: a
+    command makes no reference cycles that grow with its work (a large
+    answer leaves as many unreachable objects as a small one, the parser's),
+    and the process ends with its answer, so a collection frees nothing and
+    only walks the labels and memo entries again, 2-5 ms of a benchmark
+    verify run and a sixth of the largest block listings."""
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_script())

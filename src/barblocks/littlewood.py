@@ -37,7 +37,9 @@ one of each pair {j, p-1-j} for ordinary.
 Blocks run the engine backwards.  ``_members`` lists the labels with a given
 core and weight by reconstructing every quotient of that weight, from one
 list of the partitions of each size, each component placed on a runner of a
-given charnum once (``_placed``), and ``_cores`` lists the cores of both
+given charnum once (``_placed``); given a score of the component shapes, it
+also adds it up over each label's quotient (the heights of the blocks
+listing, blocks._listed).  ``_cores`` lists the cores of both
 kinds, t-bar cores and self-conjugate p-cores, as the cores of the
 characteristic vectors within a size budget.  ``_rebuilt`` places a quotient
 on the runners of a core's characteristic vector, for ``_reconstruct`` and
@@ -274,32 +276,42 @@ def _depth_first(count: int, choices, budget: int):
 
 
 @lru_cache(maxsize=None)
-def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int) -> tuple:
+def _members(layout: _Layout, core: tuple[int, ...], m: int, w: int, score=None) -> tuple:
     """Every label with the m-core ``core`` (validated by the caller) and
     weight w, in ascending order of parts: the reconstruction of every
-    quotient of total weight w, whose head component is strict."""
+    quotient of total weight w, whose head component is strict.  Given a
+    score, the pair (labels, sums) instead: score(parts, m, strict) is taken
+    once per component shape (strict for the head), and sums[i] adds it up
+    over the quotient of labels[i]."""
     charvec = _decompose(layout, core, m).charvec
-    # columns[k][s]: the values component k can take at size s, as runner-0
-    # slots for the head and as (j, shifted runner) for the fenced runners
-    shapes = [list(_gen(s, s, 0, 1)) for s in range(w + 1)]  # the partitions of size s
+    scored = score or (lambda parts, m, strict: 0)
+    # shapes[s]: each partition of size s with its score
+    shapes = [[(parts, scored(parts, m, False)) for parts in _gen(s, s, 0, 1)] for s in range(w + 1)]
+    # columns[k][s]: the (value, score) picks of component k at size s, the
+    # value as runner-0 slots for the head and as (j, shifted runner) for the
+    # fenced runners
     columns = [
-        [[(j, _placed(parts, c)) for parts in shape] for shape in shapes] for j, c in enumerate(charvec)
+        [[((j, _placed(parts, c)), x) for parts, x in shape] for shape in shapes] for j, c in enumerate(charvec)
     ]
     if layout.head:
-        columns.insert(0, [list(_gen(s, s, 1, 1)) for s in range(w + 1)])
-    # choices[k][left]: the (left after, value) pairs open to component k;
+        columns.insert(0, [[(parts, scored(parts, m, True)) for parts in _gen(s, s, 1, 1)] for s in range(w + 1)])
+    # choices[k][left]: the (left after, pick) pairs open to component k;
     # the last component takes exactly the weight that is left
     choices = [
-        [[(left - s, value) for s in range(left + 1) for value in column[s]]
+        [[(left - s, pick) for s in range(left + 1) for pick in column[s]]
          for left in range(w + 1)]
         for column in columns[:-1]
     ]
-    choices.append([[(0, value) for value in column] for column in columns[-1]])
-    labels = []
+    choices.append([[(0, pick) for pick in column] for column in columns[-1]])
+    labels, sums = [], []
     for picked, _ in _depth_first(len(columns), lambda k, left: choices[k][left], w):
-        runner0 = picked[0] if layout.head else ()
-        labels.append(_trusted(layout.label, _label_parts(layout, runner0, picked[layout.head:], m)))
-    return tuple(sorted(labels, key=lambda lam: lam.parts))
+        values, xs = zip(*picked)
+        runner0 = values[0] if layout.head else ()
+        labels.append(_trusted(layout.label, _label_parts(layout, runner0, values[layout.head:], m)))
+        sums.append(sum(xs))
+    order = sorted(range(len(labels)), key=[lam.parts for lam in labels].__getitem__)
+    labels = tuple(map(labels.__getitem__, order))
+    return (labels, tuple(map(sums.__getitem__, order))) if score else labels
 
 
 def _cores(layout: _Layout, m: int, max_size: int) -> tuple:

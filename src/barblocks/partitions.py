@@ -68,7 +68,7 @@ class Partition:
 
     def __str__(self):
         """Text form "a,b,c"; the empty partition prints as ""."""
-        return ",".join(str(x) for x in self.parts)
+        return ",".join(map(str, self.parts))
 
     # -- size data ------------------------------------------------------
 

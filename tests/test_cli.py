@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from time import perf_counter
 
 import pytest
 
-from barblocks.cli import main
+from barblocks.cli import _script, main
 
 
 def run(capsys, *argv):
@@ -374,11 +375,15 @@ MODULE_BUDGETS = {
 def test_each_command_loads_only_the_modules_it_uses(argv):
     """A command imports its library modules when it runs, so a process pays
     the import (and, without a bytecode cache, the compile) of those alone.
-    No command loads dataclasses or inspect, which cost a process about 7 ms."""
+    No command loads dataclasses or inspect, which cost a process about 7 ms,
+    and only a command that writes JSON text loads json (about 3 ms): the
+    charvec and quotient lines of decompose do, the text answers of tau,
+    pairs, abacus and blocks and a passing verify do not.  The modules are
+    read before the child imports json to print them."""
     code = (
-        "import json, sys; from barblocks.cli import main; code = main(sys.argv[1:]); "
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('barblocks.')), "
-        "sorted({'dataclasses', 'inspect'} & set(sys.modules))]))"
+        "import sys; from barblocks.cli import main; code = main(sys.argv[1:]); loaded = set(sys.modules); "
+        "import json; print(json.dumps([code, sorted(m for m in loaded if m.startswith('barblocks.')), "
+        "sorted({'dataclasses', 'inspect', 'json'} & loaded)]))"
     )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -386,7 +391,7 @@ def test_each_command_loads_only_the_modules_it_uses(argv):
     exit_code, modules, heavy = json.loads(done.stdout.splitlines()[-1])
     assert exit_code == 0, done.stderr
     assert {m.removeprefix("barblocks.") for m in modules} == MODULE_BUDGETS[argv]
-    assert heavy == []
+    assert heavy == (["json"] if argv[0] == "decompose" else [])
 
 
 def test_verify_text_report_shows_ten_witnesses_then_a_count(capsys):
@@ -501,6 +506,18 @@ def test_blocks_json_equals_one_json_dumps_of_the_list(capsys, group, p):
     assert empty == (p if group in ("g", "gplus") else 0)
 
 
+@pytest.mark.parametrize("group", ["stilde", "atilde", "g", "gplus"])
+def test_blocks_json_across_runs_of_member_records(capsys, group):
+    """Member records go out in runs of _RECORDS; at n = 33 and p = 3 a block
+    holds more than two runs, and the listing still equals one json.dumps."""
+    from barblocks.blocks import _blocks_of, _members_of
+    from barblocks.cli import _RECORDS
+
+    assert max(len(_members_of(block)) for block in _blocks_of(33, 3, group)) > 2 * _RECORDS
+    code, out, _ = run(capsys, "blocks", "--p", "3", "--n", "33", "--group", group, "--json")
+    assert (code, out) == (0, _reference_blocks_json(33, 3, group))
+
+
 # Spawns one child and prints its exit code and max-RSS.  A child's max-RSS
 # starts from its spawner's RSS, so a small interpreter started without site
 # spawns it, not this process.
@@ -543,3 +560,55 @@ def test_large_answers_are_written_in_bounded_memory(argv):
     floor = _peak_rss_kib("-c", "import barblocks.cli")
     peak = _peak_rss_kib("-c", "import sys; from barblocks.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
     assert peak - floor <= 4 * 1024, f"{peak} KiB, {peak - floor} KiB above the import floor"
+
+
+def test_blocks_json_peaks_within_a_mebibyte_of_the_text_listing():
+    """--json writes the same members as the text listing, a run of
+    _RECORDS records at a time, so it holds about as much: within 1 MiB of
+    the text listing's peak at p = 3 and n = 66 (30,198 members)."""
+    argv = ("-m", "barblocks.cli", "blocks", "--p", "3", "--n", "66", "--group", "stilde")
+    text, json_text = _peak_rss_kib(*argv), _peak_rss_kib(*argv, "--json")
+    assert json_text - text <= 1024, f"--json {json_text} KiB against {text} KiB in text"
+
+
+def test_the_process_entry_turns_the_cyclic_collector_off(capsys, monkeypatch):
+    """The barblocks script and python -m barblocks.cli run _script, which
+    runs main() on sys.argv with the cyclic garbage collector off."""
+    monkeypatch.setattr(sys, "argv", ["barblocks", "pairs", "--p", "3", "5,3,1"])
+    try:
+        assert _script() == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == "1 5\n"
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (("blocks", "--p", "3", "--n", "9", "--group", "stilde"), ("blocks", "--p", "3", "--n", "33", "--group", "stilde")),
+        (("blocks", "--p", "3", "--n", "9", "--group", "g", "--json"), ("blocks", "--p", "3", "--n", "33", "--group", "g", "--json")),
+        (("verify", "psi", "--p", "5", "--max-n", "8"), ("verify", "psi", "--p", "5", "--max-n", "14")),
+        (("verify", "crossing_fails", "--p", "3", "--max-n", "6", "--max-w", "2", "--expect-violations"),
+         ("verify", "crossing_fails", "--p", "3", "--max-n", "12", "--max-w", "5", "--expect-violations")),
+        (("decompose", "--p", "5", "5,3,1"), ("decompose", "--p", "3", "698212,650260,635420,568462,369525,178138")),
+        (("abacus", "--p", "5", "--twisted", "5,3,1"), ("abacus", "--p", "7", "--twisted", "9001,5003,1002")),
+    ],
+    ids=["blocks", "blocks --json", "verify psi", "verify crossing_fails", "decompose", "abacus"],
+)
+def test_a_command_makes_no_reference_cycles(capsys, small, large):
+    """With the collector off (the process entry), cyclic garbage is never
+    freed, so a command must make none that grows with its work: a large
+    answer leaves exactly as many unreachable objects as a small one, those
+    of the parser."""
+    gc.collect()
+    gc.disable()
+    try:
+        left = []
+        for argv in (small, large):
+            main(list(argv))
+            left.append(gc.collect())
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert left[0] == left[1] > 0

@@ -42,7 +42,7 @@ MEMOS = {
     "littlewood._core": (None, "per core: layout, characteristic vector and modulus"),
     "littlewood._placed": (2048, "per placed component: parts and charnum"),
     "littlewood._decompose": (4096, "per label: layout, parts and modulus"),
-    "littlewood._members": (None, "per block: layout, core, modulus and weight"),
+    "littlewood._members": (None, "per block: layout, core, modulus, weight and score"),
     "suites._block_heights": (None, "per block of any kind, cleared when each verify run starts"),
 }
 

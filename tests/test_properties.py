@@ -6,7 +6,9 @@ a single part up to 10**6.  Cores are compared with the removal-based routes
 of tests/oracles.py; every draw also checks the round trip through
 reconstruct and the size, length, sign and Durfee identities, and every strict
 draw compares the twisted abacus of abacus.py with the engine's record.
-Every label the engine builds unchecked equals its validated rebuild.
+Every label the engine builds unchecked equals its validated rebuild, and
+the heights the blocks listing reads off the quotients equal those of the
+hook lengths on blocks over the cores of the draws.
 """
 
 import pytest
@@ -16,6 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from barblocks.abacus import BarAbacus  # noqa: E402
+from barblocks.blocks import SpinBlockId, _heights_of, _listed, _members_of  # noqa: E402
+from barblocks.humphreys import GBlockId  # noqa: E402
 from barblocks.littlewood import (  # noqa: E402
     _BAR,
     _ORDINARY,
@@ -158,3 +162,22 @@ def test_engine_labels_equal_their_validated_rebuild(drawn, m):
         built += _members.__wrapped__(layout, dec.core.parts, m, w)
     for x in built:
         assert type(x)(x.parts) == x
+
+
+@PROPERTY
+@given(
+    partitions_of(st.integers(0, 300), strict=True),
+    st.sampled_from((3, 5, 7, 11, 13)),
+    st.integers(1, 3),
+    st.sampled_from(("stilde", "atilde", "g", "gplus")),
+)
+def test_listed_heights_equal_the_hook_route_on_large_cores(lam, p, w, group):
+    """The block of weight w <= 3 over the p-bar core of a strict partition
+    of size <= 300, in each of the four groups: the listing's rows (members,
+    heights read off the quotients) and defect equal the hook route's."""
+    kappa = bar_decompose(lam, p).core
+    block = (SpinBlockId if group in ("stilde", "atilde") else GBlockId)(kappa, w, group, p)
+    defect, rows = _listed(block)
+    members = _members_of(block)
+    want_defect, heights = _heights_of(block, members)
+    assert (defect, list(rows)) == (want_defect, [(label, heights[label]) for label in members])
