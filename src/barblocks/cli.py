@@ -107,45 +107,46 @@ _RECORDS = 256
 
 def _dumps(obj) -> str:
     """json.dumps(obj), importing json on the first call: the text answers
-    of tau, pairs, abacus, blocks and a passing verify write no JSON and
-    load none of it."""
+    write no JSON and load none of it."""
     import json
 
     return json.dumps(obj)
 
 
-def _json_runs(items, size=_CHUNK):
-    """The text of json.dumps(list(items)) in pieces of at most size items."""
+def _json_runs(items, dumps, size=_CHUNK):
+    """The text of json.dumps(list(items)) in pieces of at most size items,
+    each piece written by dumps: _dumps, or str for ints, whose list str
+    writes as json.dumps does."""
     items = iter(items)
     yield "["
     sep = ""
     while run := list(islice(items, size)):
-        yield sep + _dumps(run)[1:-1]
+        yield sep + dumps(run)[1:-1]
         sep = ", "
     yield "]"
 
 
 def _json_lists(lists):
     """The text of json.dumps(list(lists)), lists an iterable of int tuples,
-    in pieces of at most _CHUNK numbers (a tuple counts one more): each run
-    of short tuples goes through json.dumps, and a longer tuple through
-    _json_runs."""
+    in pieces of at most _CHUNK numbers (a tuple counts one more), written
+    by str: each run of short tuples as a list of lists, and a longer tuple
+    through _json_runs."""
     yield "["
     sep, run, size = "", [], 0
     for xs in lists:
         n = len(xs) + 1
         if run and size + n > _CHUNK:
-            yield sep + _dumps(run)[1:-1]
+            yield sep + str(run)[1:-1]
             sep, run, size = ", ", [], 0
         if n > _CHUNK:
             yield sep
-            yield from _json_runs(xs)
+            yield from _json_runs(xs, str)
             sep = ", "
         else:
-            run.append(xs)
+            run.append(list(xs))
             size += n
     if run:
-        yield sep + _dumps(run)[1:-1]
+        yield sep + str(run)[1:-1]
     yield "]"
 
 
@@ -161,7 +162,7 @@ def _cmd_decompose(args) -> int:
     print(f"p: {args.p}")
     print(f"core: {dec.core}")
     print("charvec: ", end="")
-    sys.stdout.writelines(_json_runs(dec.charvec))
+    sys.stdout.writelines(_json_runs(dec.charvec, str))
     print()
     print("quotient: ", end="")
     sys.stdout.writelines(_json_lists(q.parts for q in dec.quotient))
@@ -222,7 +223,7 @@ def _cmd_blocks(args) -> int:
             head = {"kappa": block.kappa.to_json(), "w": block.w, "group": block.group, "defect": defect}
             sys.stdout.write((", " if i else "") + _dumps(head)[:-1] + ', "members": ')
             records = ({**label.to_json(), "height": height} for label, height in rows)
-            sys.stdout.writelines(_json_runs(records, _RECORDS))
+            sys.stdout.writelines(_json_runs(records, _dumps, _RECORDS))
             sys.stdout.write("}")
             continue
         print(f"block kappa=[{block.kappa}] w={block.w} group={block.group} defect={defect}")

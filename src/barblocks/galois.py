@@ -9,7 +9,8 @@ primes q != p, and Q(zeta_p).
 
 Two independent evaluation routes are provided:
 
-* closed forms (`tau_i`, `tau_sqrt2`, `tau_sqrt`) built on the Jacobi symbol,
+* closed forms (`tau_i`, `tau_sqrt2`, `tau_sqrt`) built on the Legendre symbol
+  (Euler's criterion, or the Jacobi symbol once per residue: ``_legendre``),
   with sqrt(p) handled through the scaling of the quadratic Gauss sum, and
 * an exact oracle (`oracle_tau_sqrt`) that writes the surd as an integer
   vector of roots of unity (sqrt(2) = zeta_8 + zeta_8^-1, Gauss sums for odd
@@ -27,20 +28,22 @@ oracle still take each f as it is.
 
 An automorphism acts on Z[zeta_q] only through the exponent c it induces
 there (s mod q when q = p, p**e mod q otherwise), and on Z[zeta_8] through
-p**e mod 8.  So the oracle makes each exact comparison once per field and
-exponent, (q, c) for the Gauss sum at q and c for i and sqrt(2), and memoizes
-the resulting sign.  The key is c itself, never its Legendre symbol: that
-symbol is what the closed forms compute, and keying by it would make the
-oracle depend on them.  Each Gauss sum is built once per field, from the
-squares mod q, and a sweep factors each m once (``_odd_primes``).
+p**e mod 8.  So the oracle makes each exact comparison (a permutation of
+exponents) once per field and exponent, (q, c) for the Gauss sum at q and c
+for i and sqrt(2), and memoizes its sign; a sweep asks the oracle once per
+e, and per (e, s) only where p divides m's squarefree part.  The key is c
+itself, never its Legendre symbol: keying by the symbol the closed forms
+compute would make the oracle depend on them.  Each Gauss sum is built once
+per field, from the squares mod q, and a sweep factors each m once
+(``_odd_primes``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from math import gcd
-from operator import index
+from math import gcd, prod
+from operator import add, index
 
 from .partitions import BarPartition, Partition, _as, _frobenius, _Record
 
@@ -148,34 +151,32 @@ def standard_generators(p: int) -> tuple[GaloisElement, ...]:
 
 def tau_i(f: GaloisElement) -> int:
     """Sign by which f scales i."""
-    return jacobi(-1, f.p) ** f.e
+    return _legendre(f.p - 1, f.p) ** f.e
 
 
 def tau_sqrt2(f: GaloisElement) -> int:
     """Sign by which f scales sqrt(2)."""
-    return jacobi(2, f.p) ** f.e
+    return _legendre(2, f.p) ** f.e
 
 
 def tau_sqrt(m: int, f: GaloisElement) -> int:
     """Sign by which f scales sqrt(m), m a positive integer.
 
     Writing m = p**a * m' with gcd(m', p) = 1, the p'-part contributes the
-    Jacobi symbol (m'/p)**e and sqrt(p) (when a is odd) is scaled by
-    (s/p) * tau_i(f)**[p = 3 mod 4], the factor by which f scales the
-    quadratic Gauss sum at p.
+    Legendre symbol (m'/p)**e, read by Euler's criterion, and sqrt(p) (when
+    a is odd) is scaled by (s/p) * tau_i(f)**[p = 3 mod 4], the factor by
+    which f scales the quadratic Gauss sum at p.
     """
     m = index(m)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    p = f.p
-    a = 0
-    m_prime = m
-    while m_prime % p == 0:
-        m_prime //= p
+    p, a = f.p, 0
+    while m % p == 0:
+        m //= p
         a += 1
-    sign = jacobi(m_prime, p) ** f.e
+    sign = -1 if f.e & 1 and pow(m, p >> 1, p) != 1 else 1
     if a % 2:
-        sign *= jacobi(f.s, p)
+        sign *= _legendre(f.s, p)
         if p % 4 == 3:
             sign *= tau_i(f)
     return sign
@@ -285,11 +286,7 @@ def squarefree_of_product(xs: Iterable[int]) -> int:
     for x in xs:
         for q, k in _factorize(x).items():
             parities[q] = (parities.get(q, 0) + k) % 2
-    out = 1
-    for q, k in parities.items():
-        if k:
-            out *= q
-    return out
+    return prod(q for q, k in parities.items() if k)
 
 
 class SurdValue(_Record):
@@ -328,24 +325,26 @@ def _canon8(vec: list[int]) -> tuple[int, ...]:
 
 def _canon_prime(vec: list[int]) -> tuple[int, ...]:
     # Phi_q = 1 + x + ... + x^(q-1), q = len(vec)
-    return tuple(v - vec[-1] for v in vec[:-1])
+    top = vec[-1]
+    return tuple([v - top for v in vec[:-1]])
 
 
 def _apply_exponent(vec: list[int], n: int, c: int) -> list[int]:
+    """zeta_n -> zeta_n**c moves the coefficient at j to j*c: the image
+    reads k * c**-1 at k."""
     if gcd(c, n) != 1:
         raise ValueError("exponent map must be invertible")
-    out = [0] * n
-    for j, v in enumerate(vec):
-        out[(j * c) % n] += v
-    return out
+    inverse = pow(c, -1, n)
+    return [vec[k * inverse % n] for k in range(n)]
 
 
 def _scaling_sign(vec: list[int], n: int, c: int, canon, base=None) -> int:
+    # the image is -base when its sum with base is zero
     base = canon(vec) if base is None else base
     image = canon(_apply_exponent(vec, n, c))
     if image == base:
         return 1
-    if image == tuple(-x for x in base):
+    if not any(map(add, image, base)):
         return -1
     raise ArithmeticError("automorphism does not scale this element by a sign")
 
@@ -372,8 +371,8 @@ def oracle_tau_sqrt2(f: GaloisElement) -> int:
 def _gauss_sum(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The quadratic Gauss sum at the odd prime q, the sum of (a/q) zeta_q**a,
     read from the squares mod q, and its canonical form."""
-    squares = {a * a % q for a in range(1, q)}
-    vec = (0,) + tuple(1 if a in squares else -1 for a in range(1, q))
+    squares = {a * a % q for a in range(1, q // 2 + 1)}  # a and q - a alike
+    vec = (0, *[1 if a in squares else -1 for a in range(1, q)])
     return vec, _canon_prime(vec)
 
 

@@ -6,8 +6,11 @@ check(x) -> (cases, witnesses) on every x of the domain.  The set-up imports
 the library modules its suite checks, so a run loads only those, and does once
 the work that every case shares: the automorphisms and their sign classes
 (galois._sign_classes), so that a check evaluates tau once per class and
-reports every f of its class, in order.  ``tally`` counts kinds of cases for
-the notes of ``little``.
+reports every f of its class, in order.  The oracle is grouped by what it
+reads instead, never by the closed forms' classes: ``tau_oracle`` asks it once
+per e, and once per (e, s) only where p divides the squarefree part of m,
+and compares every f with tau_sqrt.  ``tally`` counts kinds of cases for the
+notes of ``little``.
 
 The domains are the strict partitions up to the bound, the cocores among
 them, the self-conjugate ones, m in 1..bound, the spin blocks over the p-bar
@@ -31,6 +34,7 @@ from __future__ import annotations
 import operator
 from collections import Counter, namedtuple
 from functools import lru_cache, partial
+from itertools import repeat
 
 from . import galois, partitions
 from .galois import ORACLE_MAX_M, GaloisElement, _odd_prime
@@ -166,13 +170,19 @@ def _pairing(p, tally):
 
 def _tau_oracle(p, tally):
     elements = [GaloisElement(p, e, s) for e in (0, 1, 2) for s in range(1, p)]
+    firsts = elements[:: p - 1]  # s = 1 for each e
 
     def check(m):
-        primes, found = galois._odd_primes(m), []
-        for f in elements:
-            closed, exact = galois.tau_sqrt(m, f), galois._oracle_sign(primes, f)
-            if closed != exact:
-                found.append({"m": m, "f": f.to_json(), "closed": closed, "oracle": exact})
+        primes, oracle, tau = galois._odd_primes(m), galois._oracle_sign, galois.tau_sqrt
+        if p in primes:  # the oracle reads s, on zeta_p
+            exact = [oracle(primes, f) for f in elements]
+        else:  # it reads only p**e, the same for every s
+            exact = [sign for f in firsts for sign in repeat(oracle(primes, f), p - 1)]
+        found = [
+            {"m": m, "f": f.to_json(), "closed": closed, "oracle": sign}
+            for f, sign in zip(elements, exact)
+            if (closed := tau(m, f)) != sign
+        ]
         return len(elements), found
 
     return check

@@ -376,10 +376,10 @@ def test_each_command_loads_only_the_modules_it_uses(argv):
     """A command imports its library modules when it runs, so a process pays
     the import (and, without a bytecode cache, the compile) of those alone.
     No command loads dataclasses or inspect, which cost a process about 7 ms,
-    and only a command that writes JSON text loads json (about 3 ms): the
-    charvec and quotient lines of decompose do, the text answers of tau,
-    pairs, abacus and blocks and a passing verify do not.  The modules are
-    read before the child imports json to print them."""
+    and no text answer loads json (about 3 ms): decompose writes its charvec
+    and quotient lines with str, and tau, pairs, abacus, blocks and a
+    passing verify write no JSON.  The modules are read before the child
+    imports json to print them."""
     code = (
         "import sys; from barblocks.cli import main; code = main(sys.argv[1:]); loaded = set(sys.modules); "
         "import json; print(json.dumps([code, sorted(m for m in loaded if m.startswith('barblocks.')), "
@@ -391,7 +391,7 @@ def test_each_command_loads_only_the_modules_it_uses(argv):
     exit_code, modules, heavy = json.loads(done.stdout.splitlines()[-1])
     assert exit_code == 0, done.stderr
     assert {m.removeprefix("barblocks.") for m in modules} == MODULE_BUDGETS[argv]
-    assert heavy == (["json"] if argv[0] == "decompose" else [])
+    assert heavy == []
 
 
 def test_verify_text_report_shows_ten_witnesses_then_a_count(capsys):

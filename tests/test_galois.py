@@ -1,7 +1,9 @@
 import ast
 from functools import partial
 from itertools import product
+from math import gcd
 from pathlib import Path
+from random import Random
 from time import perf_counter
 
 import pytest
@@ -27,6 +29,7 @@ from barblocks.galois import (
 )
 from barblocks.littlewood import bar_decompose, ordinary_decompose
 from barblocks.partitions import BarPartition, Partition, enumerate_partitions
+from barblocks.suites import verify
 
 from oracles import diagonal_hooks, difference_exponents
 
@@ -212,6 +215,83 @@ def test_gauss_sums_are_built_from_the_squares_mod_q():
         assert list(vec) == euler, q
         assert list(canon) == reduced[: q - 1], q
     galois._gauss_sum.cache_clear()
+
+
+def _odd_primes_below(n):
+    return [q for q in range(3, n, 2) if all(q % d for d in range(3, int(q**0.5) + 1, 2))]
+
+
+def test_an_exponent_map_permutes_the_coefficients_by_the_inverse():
+    """zeta_n -> zeta_n**c sends the coefficient at j to j*c, so the image
+    holds at k the coefficient at k * c**-1: the accumulation definition on
+    random vectors, at n = 8 and every odd prime n < 200, for every c
+    coprime to n.  (c/q) = (c**-1/q) and c = c**-1 mod 8, so only this test
+    tells c from its inverse.  A c that is not invertible is refused."""
+    rng = Random(31)
+    for n in [8, *_odd_primes_below(200)]:
+        vec = [rng.randint(-9, 9) for _ in range(n)]
+        for c in range(n):
+            if gcd(c, n) != 1:
+                with pytest.raises(ValueError, match="invertible"):
+                    galois._apply_exponent(vec, n, c)
+                continue
+            image = [0] * n
+            for j, v in enumerate(vec):
+                image[j * c % n] += v
+            assert galois._apply_exponent(vec, n, c) == image, (n, c)
+    with pytest.raises(ValueError, match="invertible"):
+        galois._apply_exponent([0, 1, 0, 0, 0, 0, 0, 1], 8, 6)
+
+
+def _clear_galois_memos():
+    for obj in vars(galois).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def test_the_oracle_sweep_asks_once_per_input_and_reports_every_f(monkeypatch):
+    """verify tau_oracle asks the oracle once per e, and once per (e, s) only
+    where p divides the squarefree part of m: 2,124 evaluations at p = 13,
+    bound 400, for 14,400 comparisons.  With tau_sqrt doctored to 0 every
+    (m, f) is a witness, in order, and its oracle sign equals
+    oracle_tau_sqrt(m, f) asked anew with every galois memo cleared."""
+    real, asked = galois._oracle_sign, []
+
+    def counted(primes, f):
+        asked.append((primes, f))
+        return real(primes, f)
+
+    monkeypatch.setattr(galois, "_oracle_sign", counted)
+    monkeypatch.setattr(galois, "tau_sqrt", lambda m, f: 0)
+    for p in (3, 5, 7, 11, 13):
+        _clear_galois_memos()
+        asked.clear()
+        report = verify("tau_oracle", p, 400)
+        at_p = sum(1 for m in range(1, 401) if galois._factorize(m).get(p, 0) % 2)
+        assert len(asked) == 3 * 400 + 3 * (p - 2) * at_p
+        if p == 13:
+            assert len(asked) == 2124
+        questions = [(m, GaloisElement(p, e, s)) for m in range(1, 401) for e in range(3) for s in range(1, p)]
+        assert report.cases == len(report.violations) == len(questions)
+        _clear_galois_memos()
+        for (m, f), witness in zip(questions, report.violations):
+            assert witness == {"m": m, "f": f.to_json(), "closed": 0, "oracle": oracle_tau_sqrt(m, f)}
+
+
+@pytest.mark.parametrize(
+    "m, f",
+    [(10, GaloisElement(5, 1, 3)), (75, GaloisElement(3, 2, 2)), (6, GaloisElement(5, 2, 4))],
+    ids=["p divides m", "p divides m, e even", "p does not divide m"],
+)
+def test_a_closed_form_wrong_at_one_f_is_one_witness(monkeypatch, m, f):
+    """The sweep groups only the oracle: a tau_sqrt doctored at a single
+    (m, f), also where the oracle is asked once for many s, is reported at
+    that (m, f) alone."""
+    real = galois.tau_sqrt
+    monkeypatch.setattr(galois, "tau_sqrt", lambda m2, f2: -real(m2, f2) if (m2, f2) == (m, f) else real(m2, f2))
+    report = verify("tau_oracle", f.p, 100)
+    closed = real(m, f)
+    assert report.violations == ({"m": m, "f": f.to_json(), "closed": -closed, "oracle": closed},)
 
 
 def test_prime_check_matches_trial_division():

@@ -29,7 +29,7 @@ MEMOS = {
     "blocks.nonspin_block_members": (None, "per non-spin block"),
     "characters._valuation": (4096, "per label: parts, p and spin or not"),
     "galois._is_odd_prime": (None, "per prime"),
-    "galois._legendre": (None, "per prime and residue s mod p"),
+    "galois._legendre": (None, "per prime and residue mod p: s, -1 or 2"),
     "galois._tau_partition_cached": (
         8192,
         "per strict part tuple (a spin label, or a self-conjugate label's diagonal hooks) "

@@ -200,6 +200,18 @@ def test_records_of_different_classes_never_compare_equal(name):
 
 
 @pytest.mark.parametrize("name", RECORDS)
+def test_an_unchecked_record_equals_the_constructors(name):
+    """_unchecked(*fields), the cheap path that skips validation, builds the
+    record the constructor builds from the same fields, with the same hash."""
+    record = RECORDS[name][0]()
+    cls, fields = type(record), record._key(record)
+    built, unchecked = cls(*fields), cls._unchecked(*fields)
+    assert type(unchecked) is cls and unchecked == built and unchecked._key(unchecked) == fields
+    if name != "VerificationReport":  # its violations are dicts
+        assert hash(unchecked) == hash(built)
+
+
+@pytest.mark.parametrize("name", RECORDS)
 def test_a_records_json_is_its_fields_in_order(name):
     make, _, _, expected = RECORDS[name]
     assert json.dumps(make().to_json()) == expected
