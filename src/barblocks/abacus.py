@@ -53,8 +53,7 @@ class FencedRunner(_Record):
     __slots__ = ("black_above", "white_below")
 
     def __init__(self, black_above: frozenset = frozenset(), white_below: frozenset = frozenset()):
-        object.__setattr__(self, "black_above", _as_slot_set(black_above))
-        object.__setattr__(self, "white_below", _as_slot_set(white_below))
+        self._set(_as_slot_set(black_above), _as_slot_set(white_below))
 
     @property
     def charnum(self) -> int:
@@ -105,8 +104,7 @@ class BarAbacus(_Record):
             raise ValueError(f"need {t} runners, got {len(runners)}")
         if 0 in runners[0]:
             raise ValueError("runner 0 cannot use slot 0 (parts are positive)")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "runners", runners)
+        self._set(t, runners)
 
     @classmethod
     def from_partition(cls, lam: BarPartition, t: int) -> "BarAbacus":
@@ -147,9 +145,7 @@ class TwistedBarAbacus(_Record):
         shifted = tuple(shifted)
         if len(shifted) != (t - 1) // 2:
             raise ValueError(f"need {(t - 1) // 2} shifted runners, got {len(shifted)}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "runner0", runner0)
-        object.__setattr__(self, "shifted", shifted)
+        self._set(t, runner0, shifted)
 
     def untwist(self) -> BarAbacus:
         runners = [frozenset()] * self.t

@@ -14,8 +14,8 @@ quotient instead, in the walk that builds the members (``_listed``), and
 computes no hook of a whole label, so the hook route is its independent
 check.  bar_cores and selfconjugate_cores build the cores of both
 kinds by one walk over their characteristic vectors (littlewood._cores).
-``equivariance_check`` evaluates tau once per Galois sign class
-(galois._sign_classes) and reports every automorphism of its class, in order.
+``equivariance_check`` spreads tau over the Galois sign classes
+(galois._sign_classes): one evaluation per class, every f reported in order.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
         raise ValueError(f"automorphisms of different primes: {sorted({f.p for f in fs})}")
     if getattr(lmap.source, "p", p) != p:
         raise ValueError(f"automorphisms of p={p} on a block of p={lmap.source.p}")
-    reps, classes = _sign_classes(fs)
+    spread = _sign_classes(fs)
     violations = []
     cases = 0
     for src, dst in lmap.pairs:
@@ -276,19 +276,12 @@ def equivariance_check(lmap: LabelMap, fs) -> VerificationReport:
         if src.variant != "plus":
             continue  # the minus member carries the same tau
         cases += len(fs)
-        signs = [(_tau_of(src, f), _tau_of(dst, f)) for f in reps]
-        for f, k in zip(fs, classes):
-            ts, td = signs[k]
-            if ts != td:
-                violations.append(
-                    {
-                        "label": src.to_json(),
-                        "image": dst.to_json(),
-                        "f": f.to_json(),
-                        "tau_source": ts,
-                        "tau_image": td,
-                    }
-                )
+        signs = spread(lambda f: (_tau_of(src, f), _tau_of(dst, f)))
+        violations += [
+            {"label": src.to_json(), "image": dst.to_json(), "f": f.to_json(), "tau_source": ts, "tau_image": td}
+            for f, (ts, td) in zip(fs, signs)
+            if ts != td
+        ]
     notes = []
     src_core = getattr(lmap.source, "kappa", None)
     dst_core = getattr(lmap.target, "kappa", None)

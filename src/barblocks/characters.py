@@ -47,10 +47,7 @@ class CharLabel(_Record):
         if variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
         read = BarPartition if flavor == SPIN else Partition
-        object.__setattr__(self, "partition", _as(read, partition))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "variant", variant)
+        self._set(_as(read, partition), group, flavor, variant)
 
     def sort_key(self):
         return (self.partition.parts, _VARIANTS.index(self.variant))

@@ -22,9 +22,9 @@ routes is the keystone correctness check of this module.
 
 Each closed form depends on f only through its sign class (p, e mod 2, (s/p))
 (Gauss sums and reciprocity: Ireland and Rosen, ch. 6).  So the tau memo is
-keyed by the class, and ``_sign_classes`` lets a sweep evaluate tau once per
-class of its automorphisms.  ``tau_i``, ``tau_sqrt2``, ``tau_sqrt`` and the
-oracle still take each f as it is.
+keyed by the class, and a sweep spreads tau over the classes of its
+automorphisms (``_sign_classes``): one evaluation per class, one value per f.
+``tau_i``, ``tau_sqrt2``, ``tau_sqrt`` and the oracle take each f as it is.
 
 An automorphism acts on Z[zeta_q] only through the exponent c it induces
 there (s mod q when q = p, p**e mod q otherwise), and on Z[zeta_8] through
@@ -126,9 +126,7 @@ class GaloisElement(_Record):
         s %= p
         if s == 0:
             raise ValueError("s must be coprime to p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "s", s)
+        self._set(p, e, s)
 
     @classmethod
     def sigma(cls, p: int) -> "GaloisElement":
@@ -198,9 +196,9 @@ def _sign_class(f: GaloisElement) -> tuple[int, int, int]:
     return f.p, f.e & 1, _legendre(f.s, f.p)
 
 
-def _sign_classes(fs: Iterable[GaloisElement]) -> tuple[list[GaloisElement], list[int]]:
-    """One automorphism of fs per sign class, in order of first appearance,
-    and for each f of fs the index of its class."""
+def _sign_classes(fs: Iterable[GaloisElement]):
+    """spread(value) -> [value(f) for f in fs], with value called once per
+    sign class of fs, on the class's first f, in order of first appearance."""
     reps, seen, classes = [], {}, []
     for f in fs:
         key = _sign_class(f)
@@ -208,7 +206,12 @@ def _sign_classes(fs: Iterable[GaloisElement]) -> tuple[list[GaloisElement], lis
             seen[key] = len(reps)
             reps.append(f)
         classes.append(seen[key])
-    return reps, classes
+
+    def spread(value):
+        values = [value(f) for f in reps]
+        return [values[k] for k in classes]
+
+    return spread
 
 
 @lru_cache(maxsize=8192)

@@ -26,7 +26,7 @@ from .characters import (
     spin_degree_valuation,
 )
 from .galois import GaloisElement, _odd_prime, tau_i, tau_partition
-from .littlewood import _BAR, _checked, _decompose, _members, _rebuilt, bar_decompose
+from .littlewood import _BAR, _checked, _members, _rebuilt, bar_decompose
 from .partitions import BarPartition, _as, _Record
 
 G = "g"
@@ -42,10 +42,7 @@ class GCharLabel(_Record):
             raise ValueError(f"group must be one of {_GGROUPS}")
         if variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
-        object.__setattr__(self, "mu", _as(BarPartition, mu))
-        object.__setattr__(self, "nu", _as(BarPartition, nu))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "variant", variant)
+        self._set(_as(BarPartition, mu), _as(BarPartition, nu), group, variant)
 
     def sort_key(self):
         return (self.mu.parts, self.nu.parts, _VARIANTS.index(self.variant))
@@ -123,11 +120,10 @@ def phi_inverse(label: GCharLabel, p: int) -> CharLabel:
     dec = bar_decompose(label.nu, p)
     if dec.core:
         raise ValueError(f"{label.nu!r} is not a {p}-cocore")
-    mu, m = _checked(_BAR, label.mu, p)
-    core = _decompose(_BAR, mu, m)
+    core = bar_decompose(label.mu, p)
     if core.weight:
-        raise ValueError(f"{label.mu!r} is not a {m}-core")
-    lam = _rebuilt(_BAR, dec.quotient, core.charvec, m)
+        raise ValueError(f"{label.mu!r} is not a {p}-core")
+    lam = _rebuilt(_BAR, dec.quotient, core.charvec, p)
     return CharLabel(lam, _GROUP_BACK[label.group], SPIN, label.variant)
 
 

@@ -74,12 +74,7 @@ class _Decomposition(_Record):
 
     def __init__(self, core: Partition, quotient: tuple[Partition, ...], charvec: tuple[int, ...],
                  weight: int, cocore: Partition, d: int):
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "charvec", charvec)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "cocore", cocore)
-        object.__setattr__(self, "d", d)
+        self._set(core, quotient, charvec, weight, cocore, d)
 
 
 class BarLittlewood(_Decomposition):

@@ -8,11 +8,12 @@ one read: a list or tuple of parts is the partition it spells, checked where
 it enters.  Parts are read by ``operator.index``, which refuses a float.
 
 A record (``_Record``) lists its fields in ``__slots__``; its ``__init__``
-validates them and sets each once.  A record derived from validated records
-is built by ``_Record._unchecked`` instead, and a label derived from
-validated input by ``_trusted``.  Records compare by class and fields, and
-copy, pickle and ``_replace`` go through the constructor, which checks again.
-A record's JSON is its fields by name, in order (``_json``).
+validates them and sets them all with one ``_set``, through the slot setters.
+A record derived from validated records is built by ``_Record._unchecked``
+instead, which only calls ``_set``, and a label derived from validated input
+by ``_trusted``.  Records compare by class and fields, and copy, pickle and
+``_replace`` go through the constructor, which checks again.  A record's
+JSON is its fields by name, in order (``_json``).
 """
 
 from __future__ import annotations
@@ -183,8 +184,7 @@ class _Record:
         derived from validated records (a Frobenius symbol, an abacus or its
         twist) without its validating constructor: it only sets the slots."""
         record = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values):
-            set_field(record, value)
+        record._set(*values)
         return record
 
     def __setattr__(self, name, value):
@@ -239,8 +239,7 @@ class FrobeniusSymbol(_Record):
             raise ValueError("arm and leg entries must be non-negative")
         if len(distinct_legs) != len(distinct_arms):
             raise ValueError("need as many legs as arms")
-        object.__setattr__(self, "legs", distinct_legs)
-        object.__setattr__(self, "arms", distinct_arms)
+        self._set(distinct_legs, distinct_arms)
 
     def to_partition(self) -> Partition:
         return _trusted(Partition, _from_frobenius(self.arms, self.legs))

@@ -4,20 +4,22 @@ A row is a domain (bound, p, w_max) -> elements, a set-up (p, tally) -> check
 and optional notes (p, tally) -> lines.  ``verify`` runs the set-up once and
 check(x) -> (cases, witnesses) on every x of the domain.  The set-up imports
 the library modules its suite checks, so a run loads only those, and does once
-the work that every case shares: the automorphisms and their sign classes
-(galois._sign_classes), so that a check evaluates tau once per class and
-reports every f of its class, in order.  The oracle is grouped by what it
-reads instead, never by the closed forms' classes: ``tau_oracle`` asks it once
-per e, and once per (e, s) only where p divides the squarefree part of m,
-and compares every f with tau_sqrt.  ``tally`` counts kinds of cases for the
-notes of ``little``.
+the work that every case shares: the automorphisms and the spread over their
+sign classes (galois._sign_classes), which evaluates tau once per class and
+gives it back for every f, in order.  The oracle is grouped by what it reads
+instead, never by the closed forms' classes: ``tau_oracle`` asks it once per
+e, and once per (e, s) only where p divides the squarefree part of m, and
+compares every f with tau_sqrt.  ``tally`` counts kinds of cases for the
+notes of ``little``.  ``lengths`` and ``durfee`` are one check with two
+statistics, stat(lambda) = stat(core) + stat(cocore) - 2d (``_minus_2d``).
 
-The domains are the strict partitions up to the bound, the cocores among
-them, the self-conjugate ones, m in 1..bound, the spin blocks over the p-bar
-cores (``blocks``), the weight-one G/G+ blocks (``census``) and the pairs of
-related cores with matching sigma_p tau (``_core_pairs``, for the
-core-replacement suites, where the group None marks the non-spin side:
-self-conjugate cores and nonspin_psi in place of bar cores and psi).
+The domains are the strict and the self-conjugate partitions up to the bound
+(``_partitions_upto``, by kind), the cocores among the strict ones, m in
+1..bound, the spin blocks over the p-bar cores (``blocks``), the weight-one
+G/G+ blocks (``census``) and the pairs of related cores with matching
+sigma_p tau (``_core_pairs``, for the core-replacement suites, where the
+group None marks the non-spin side: self-conjugate cores and nonspin_psi in
+place of bar cores and psi).
 ``blocks`` and core replacement check every map through ``_check_map``: a
 bijection onto the target block that keeps the defect and every height, taken
 once per block in a run (``_block_heights``).
@@ -57,9 +59,13 @@ class VerificationReport(_Record):
         return not self.violations
 
 
-def _strict_upto(bound: int, p: int, w_max: int):
+def _partitions_upto(bound: int, p: int, w_max: int, kind: str):
     for n in range(bound + 1):
-        yield from partitions.enumerate_partitions(n, "strict")
+        yield from partitions.enumerate_partitions(n, kind)
+
+
+_strict_upto = partial(_partitions_upto, kind="strict")
+_selfconjugate_upto = partial(_partitions_upto, kind="self_conjugate")
 
 
 def _cocores_upto(bound: int, p: int, w_max: int):
@@ -67,11 +73,6 @@ def _cocores_upto(bound: int, p: int, w_max: int):
 
     for w in range(bound // p + 1):
         yield from humphreys.cocores(w, p)
-
-
-def _selfconjugate_upto(bound: int, p: int, w_max: int):
-    for n in range(bound + 1):
-        yield from partitions.enumerate_partitions(n, "self_conjugate")
 
 
 def _m_upto(bound: int, p: int, w_max: int):
@@ -103,15 +104,18 @@ def _roundtrips(p, tally):
     return check
 
 
-def _lengths(p, tally):
+def _minus_2d(p, tally, decompose, name, stat):
+    """stat(lam) = stat(core) + stat(cocore) - 2d for littlewood.<decompose>:
+    lengths of bar decompositions, Durfee sizes of self-conjugate partitions.
+    The witness keys are name, core_name, cocore_name and d."""
     from . import littlewood
 
     def check(lam):
-        dec = littlewood.bar_decompose(lam, p)
-        if lam.length == dec.core.length + dec.cocore.length - 2 * dec.d:
+        dec = getattr(littlewood, decompose)(lam, p)
+        value, core, cocore = stat(lam), stat(dec.core), stat(dec.cocore)
+        if value == core + cocore - 2 * dec.d:
             return 1, ()
-        core, cocore = dec.core.length, dec.cocore.length
-        return 1, [_witness(lam, length=lam.length, core_length=core, cocore_length=cocore, d=dec.d)]
+        return 1, [_witness(lam, **{name: value, f"core_{name}": core, f"cocore_{name}": cocore, "d": dec.d})]
 
     return check
 
@@ -137,19 +141,6 @@ def _sizes(p, tally):
         if lam.size == dec.core.size + p * dec.weight:
             return 1, ()
         return 1, [_witness(lam, size=lam.size, core_size=dec.core.size, weight=dec.weight)]
-
-    return check
-
-
-def _durfee(p, tally):
-    from . import littlewood
-
-    def check(lam):
-        dec = littlewood.ordinary_decompose(lam, p)
-        if lam.durfee() == dec.core.durfee() + dec.cocore.durfee() - 2 * dec.d:
-            return 1, ()
-        core, cocore = dec.core.durfee(), dec.cocore.durfee()
-        return 1, [_witness(lam, durfee=lam.durfee(), core_durfee=core, cocore_durfee=cocore, d=dec.d)]
 
     return check
 
@@ -193,7 +184,7 @@ def _little(p, tally):
 
     sigma = GaloisElement.sigma(p)
     trivial = [f for f in galois.standard_generators(p) if f.e == 0]
-    reps, classes = galois._sign_classes(trivial)
+    spread = galois._sign_classes(trivial)
     eps = -1 if p % 4 == 3 else 1
 
     def check(lam):
@@ -209,10 +200,8 @@ def _little(p, tally):
         found = []
         if not ok:
             found.append(_witness(lam, case=case, tau=t_lam, tau_core=t_core, tau_cocore=t_cocore))
-        fails = [tau(lam, f) != tau(dec.core, f) * tau(dec.cocore, f) for f in reps]
-        for f, k in zip(trivial, classes):
-            if fails[k]:
-                found.append(_witness(lam, case="iii", f=f.to_json()))
+        fails = spread(lambda f: tau(lam, f) != tau(dec.core, f) * tau(dec.cocore, f))
+        found += [_witness(lam, case="iii", f=f.to_json()) for f, fail in zip(trivial, fails) if fail]
         return 1 + len(trivial), found
 
     return check
@@ -226,7 +215,7 @@ def _phi(p, tally):
     from . import characters, humphreys
 
     fs = galois.standard_generators(p)
-    reps, classes = galois._sign_classes(fs)
+    spread = galois._sign_classes(fs)
 
     def check(lam):
         cases, found = 0, []
@@ -239,12 +228,12 @@ def _phi(p, tally):
                 if humphreys.phi_inverse(glabel, p) != label:
                     found.append({"label": label.to_json(), "reason": "inverse"})
                 if label.variant == "plus":
-                    fails = [characters.label_tau(label, f) != humphreys.tau_g(glabel, f) for f in reps]
+                    fails = spread(lambda f: characters.label_tau(label, f) != humphreys.tau_g(glabel, f))
                     cases += len(fs)
                     found += [
                         {"label": label.to_json(), "f": f.to_json(), "reason": "tau"}
-                        for f, k in zip(fs, classes)
-                        if fails[k]
+                        for f, fail in zip(fs, fails)
+                        if fail
                     ]
         return cases, found
 
@@ -259,10 +248,9 @@ def _valuation(p, tally):
         if dec.core.size >= p:
             return 0, ()
         label = characters.classify(lam, _STILDE, characters.SPIN)[0]
-        val = characters.degree_valuation(label, p)
+        val = characters.spin_degree_valuation(lam, p)
         gval = humphreys.g_degree_valuation(humphreys.phi(label, p), p)
-        cocore_label = characters.classify(dec.cocore, _STILDE, characters.SPIN)[0]
-        cocore_val = characters.degree_valuation(cocore_label, p)
+        cocore_val = characters.spin_degree_valuation(dec.cocore, p)
         if val == gval == cocore_val:
             return 1, ()
         return 1, [_witness(lam, valuation=val, image_valuation=gval, cocore_valuation=cocore_val)]
@@ -274,17 +262,16 @@ def _tau_nonspin(p, tally):
     from . import littlewood
 
     fs = galois.standard_generators(p)
-    reps, classes = galois._sign_classes(fs)
+    spread = galois._sign_classes(fs)
 
     def check(lam):
         tau = galois.tau_selfconjugate
         dec = littlewood.ordinary_decompose(lam, p)
-        lhs = [tau(lam, f) for f in reps]
-        rhs = [tau(dec.core, f) * tau(dec.cocore, f) for f in reps]
+        signs = spread(lambda f: (tau(lam, f), tau(dec.core, f) * tau(dec.cocore, f)))
         found = [
-            _witness(lam, f=f.to_json(), tau=lhs[k], product=rhs[k])
-            for f, k in zip(fs, classes)
-            if lhs[k] != rhs[k]
+            _witness(lam, f=f.to_json(), tau=lhs, product=rhs)
+            for f, (lhs, rhs) in zip(fs, signs)
+            if lhs != rhs
         ]
         return len(fs), found
 
@@ -451,7 +438,8 @@ def _core_replacement(related, groups, allow_reversed=False, notes=None):
 
 SUITES = {
     "roundtrips": _Suite(_strict_upto, _roundtrips),
-    "lengths": _Suite(_strict_upto, _lengths),
+    "lengths": _Suite(_strict_upto, partial(_minus_2d, decompose="bar_decompose", name="length",
+                                            stat=operator.attrgetter("length"))),
     "signs": _Suite(_strict_upto, _signs),
     "sizes": _Suite(_strict_upto, _sizes),
     "pairing": _Suite(_cocores_upto, _pairing),
@@ -467,7 +455,8 @@ SUITES = {
         _reversed_crossing, (_STILDE,), allow_reversed=True, notes=_crossing_fails_notes
     ),
     "tau_nonspin": _Suite(_selfconjugate_upto, _tau_nonspin),
-    "durfee": _Suite(_selfconjugate_upto, _durfee),
+    "durfee": _Suite(_selfconjugate_upto, partial(_minus_2d, decompose="ordinary_decompose", name="durfee",
+                                                  stat=operator.methodcaller("durfee"))),
     "psi_nonspin": _core_replacement(operator.ne, (None,)),
 }
 

@@ -398,11 +398,17 @@ def test_tau_partition_is_the_product_of_the_per_f_closed_forms():
 
 
 def test_sign_classes_in_order_of_first_appearance():
-    """At p = 7 the residues are 1, 2 and 4; e counts only mod 2."""
+    """At p = 7 the residues are 1, 2 and 4; e counts only mod 2.  spread
+    gives each f the value of its class's first f, and calls value once per
+    class, in order of first appearance."""
     fs = [GaloisElement(7, e, s) for e in (3, 0, 2, 1) for s in (3, 1, 2, 6, 5, 4)]
-    reps, classes = galois._sign_classes(fs)
-    assert [(f.e, f.s) for f in reps] == [(3, 3), (3, 1), (0, 3), (0, 1)]
-    assert classes == [0, 1, 1, 0, 0, 1] + [2, 3, 3, 2, 2, 3] * 2 + [0, 1, 1, 0, 0, 1]
+    spread = galois._sign_classes(fs)
+    reps = [(3, 3), (3, 1), (0, 3), (0, 1)]
+    classes = [0, 1, 1, 0, 0, 1] + [2, 3, 3, 2, 2, 3] * 2 + [0, 1, 1, 0, 0, 1]
+    assert spread(lambda f: (f.e, f.s)) == [reps[k] for k in classes]
+    calls = []
+    assert spread(lambda f: calls.append((f.e, f.s)) or len(calls)) == [k + 1 for k in classes]
+    assert calls == reps
 
 
 @pytest.mark.parametrize(
